@@ -4,8 +4,9 @@ Everything the repository runs -- mission campaigns and training-bound
 experiments alike -- flows through this package as
 :class:`~repro.exec.jobspec.JobSpec` values: self-contained, picklable
 descriptions of one deterministic computation. An
-:class:`~repro.exec.executor.Executor` runs them serially or through a
-supervised process pool with bit-identical results, and a persistent
+:class:`~repro.exec.executor.Executor` runs them serially, through a
+supervised process pool, through a broker or in batched blocks, with
+bit-identical results, and a persistent
 :class:`~repro.exec.cache.ResultCache` keyed by each job's
 :meth:`~repro.exec.jobspec.JobSpec.content_hash` makes reruns
 incremental: work whose (callable, inputs, seed stream, code version)
@@ -43,6 +44,7 @@ from repro.exec.cache import (
 )
 from repro.exec.executor import (
     FAILURE_SCHEMA,
+    Batch,
     ExecutionReport,
     Executor,
     JobFailure,
@@ -71,6 +73,7 @@ from repro.exec.worker import Worker, WorkerReport, run_worker
 
 __all__ = [
     "BROKER_SCHEMA",
+    "Batch",
     "Broker",
     "CACHE_DIR_ENV",
     "CACHE_SCHEMA",

@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ExecError
+from repro.exec.jobspec import JobSpec
 
 
 def scaled_sum(values: Sequence[float], factor: float = 1.0) -> float:
@@ -41,6 +42,11 @@ def seeded_normals(
     """
     rng = np.random.default_rng(seed)
     return [float(x) for x in rng.standard_normal(n)]
+
+
+def run_each(jobs: Sequence[JobSpec]) -> List[Any]:
+    """Run a block of jobs in one call (fails if any member raises)."""
+    return [job.run() for job in jobs]
 
 
 def sleepy_echo(value: float, sleep_s: float = 0.0) -> float:

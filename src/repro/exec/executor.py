@@ -1,12 +1,13 @@
 """The one execution engine behind campaigns and experiments.
 
 Runs a list of :class:`~repro.exec.jobspec.JobSpec` through a serial
-loop or a supervised worker pool, with an optional persistent
-:class:`~repro.exec.cache.ResultCache` consulted first. All three paths
--- serial, pooled, cache hit -- return byte-identical results: jobs are
-self-contained and deterministic, and every result is normalized
-through the same JSON round trip before it reaches the caller (see
-:func:`~repro.exec.jobspec.json_roundtrip`).
+loop, a supervised worker pool, a :class:`~repro.exec.queue.Broker`'s
+worker daemons, or in-process blocks of a :class:`Batch`, with an
+optional persistent :class:`~repro.exec.cache.ResultCache` consulted
+first. Every path -- and a cache hit -- returns byte-identical results:
+jobs are self-contained and deterministic, and every result is
+normalized through the same JSON round trip before it reaches the
+caller (see :func:`~repro.exec.jobspec.json_roundtrip`).
 
 The engine is fault-tolerant. A :class:`RetryPolicy` gives every job a
 bounded number of attempts with deterministic backoff and an optional
@@ -36,14 +37,18 @@ import queue
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
+from typing import Sequence, Tuple
 
 from repro import schemas
 from repro.errors import ExecError, JobTimeout, TransientJobError, WorkerCrash
 from repro.exec import faults
 from repro.exec.cache import ResultCache
 from repro.exec.jobspec import JobSpec, json_roundtrip
+
+if TYPE_CHECKING:  # the queue module imports this one
+    from repro.exec.queue import Broker
 
 #: Progress callback signature: ``(done, total, job, result, cached)``.
 #: ``cached`` is ``True`` when the result was not freshly executed for
@@ -133,6 +138,21 @@ class RetryPolicy:
         if self.backoff_s == 0.0 or completed_attempts < 1:
             return 0.0
         return self.backoff_s * (2.0 ** (completed_attempts - 1))
+
+
+@dataclass(frozen=True)
+class Batch:
+    """How the batched backend groups jobs into blocks and runs one.
+
+    Jobs with equal ``key`` fill blocks of at most ``size``, in job
+    order; ``run`` takes one block and returns one result per member.
+    A block that raises re-runs its members one by one through the
+    serial retry path.
+    """
+
+    size: int
+    key: Callable[[JobSpec], Any]
+    run: Callable[[List[JobSpec]], List[Any]]
 
 
 @dataclass(frozen=True)
@@ -304,14 +324,19 @@ class _Task:
 
 @dataclass
 class _Outcome:
-    """Final result of one unique job: a value or a failure envelope."""
+    """Final result of one unique job: a value or a failure envelope.
+
+    Broker outcomes have no wall clock (``job_s=None``), and those done
+    before the submit are ``cached``.
+    """
 
     index: int
     attempts: int
     timeouts: int
     value: Any = None
-    job_s: float = 0.0
+    job_s: Optional[float] = 0.0
     failure: Optional[JobFailure] = None
+    cached: bool = False
 
 
 def _failure_from_parts(
@@ -396,7 +421,7 @@ class _Worker:
 
 
 class Executor:
-    """Serial or process-pool job execution with caching and retries.
+    """Job execution with caching and retries, through one of four backends.
 
     Args:
         workers: ``None``/``1`` for the serial path, ``0`` for one
@@ -412,6 +437,19 @@ class Executor:
             siblings keep running; when ``False`` (default) the first
             exhausted job aborts the batch with an
             :class:`~repro.errors.ExecError` naming the job.
+        broker: submit the uncached jobs (with ``retry`` as their
+            attempt budget) to this :class:`~repro.exec.queue.Broker`
+            and collect them as ``python -m repro.exec worker`` daemons
+            finish; ``workers`` is unused. Jobs done before the submit
+            count as cached.
+        poll_s: broker backend -- seconds between outcome polls.
+        wait_timeout_s: broker backend -- raise
+            :class:`~repro.errors.ExecError` after this many seconds
+            without the jobs finishing; ``None`` waits forever.
+        batch: run the uncached jobs in-process, in :class:`Batch`
+            blocks. Each member keeps its own cache entry and progress
+            call, and is reported with the block's wall clock amortized
+            over its members. Cannot combine with ``broker`` or a pool.
 
     Example:
         >>> from repro.exec import Executor, JobSpec
@@ -433,11 +471,24 @@ class Executor:
         cache: Optional[ResultCache] = None,
         retry: Optional[RetryPolicy] = None,
         keep_going: bool = False,
+        broker: Optional["Broker"] = None,
+        poll_s: float = 0.2,
+        wait_timeout_s: Optional[float] = None,
+        batch: Optional[Batch] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
+        if batch is not None and (broker is not None or self.workers > 1):
+            raise ExecError(
+                "batch runs its blocks in-process; it cannot combine with "
+                "a broker or workers > 1"
+            )
         self.cache = cache
         self.retry = retry or RetryPolicy()
         self.keep_going = keep_going
+        self.broker = broker
+        self.poll_s = poll_s
+        self.wait_timeout_s = wait_timeout_s
+        self.batch = batch
         self.last_report: Optional[ExecutionReport] = None
 
     def run(
@@ -528,16 +579,18 @@ class Executor:
                     value = json_roundtrip(outcome.value)
                     if self.cache is not None:
                         self.cache.put(job, value)
-                    executed += 1
-                    timings.append(
-                        (outcome.job_s, job.label or job.content_hash()[:12])
-                    )
+                    if not outcome.cached:
+                        executed += 1
+                    if outcome.job_s is not None:
+                        timings.append(
+                            (outcome.job_s, job.label or job.content_hash()[:12])
+                        )
                 for k, i in enumerate(group):
                     results[i] = value
                     served[i] = True
                     done += 1
                     if progress is not None:
-                        progress(done, total, jobs[i], value, k > 0)
+                        progress(done, total, jobs[i], value, k > 0 or outcome.cached)
         finally:
             if outcomes is not None:
                 close = getattr(outcomes, "close", None)
@@ -568,11 +621,95 @@ class Executor:
 
     def _execute(self, items: List[Tuple[int, JobSpec]]) -> Iterator[_Outcome]:
         """Yield one final :class:`_Outcome` per item, in any order."""
+        if self.broker is not None:
+            return self._execute_broker(self.broker, items)
+        if self.batch is not None:
+            return self._execute_batched(self.batch, items)
         if self.workers > 1 and len(items) > 1:
             pooled = self._execute_pooled(items, min(self.workers, len(items)))
             if pooled is not None:
                 return pooled
         return (self._serial_outcome(_Task(index, job)) for index, job in items)
+
+    # -- batched path -----------------------------------------------------
+
+    def _execute_batched(
+        self, batch: Batch, items: List[Tuple[int, JobSpec]]
+    ) -> Iterator[_Outcome]:
+        """Run ``items`` in blocks of equal :attr:`Batch.key`, one call each."""
+        blocks: List[List[Tuple[int, JobSpec]]] = []
+        open_blocks: Dict[Any, List[Tuple[int, JobSpec]]] = {}
+        for item in items:
+            key = batch.key(item[1])
+            block = open_blocks.get(key)
+            if block is None or len(block) >= batch.size:
+                block = open_blocks[key] = []
+                blocks.append(block)
+            block.append(item)
+        for block in blocks:
+            start = time.perf_counter()
+            try:
+                values = batch.run([job for _, job in block])
+            except Exception:  # noqa: BLE001 - members retry one by one
+                for index, job in block:
+                    yield self._serial_outcome(_Task(index, job))
+                continue
+            job_s = (time.perf_counter() - start) / len(block)
+            for (index, _), value in zip(block, values):
+                yield _Outcome(
+                    index=index, attempts=1, timeouts=0, value=value, job_s=job_s
+                )
+
+    # -- broker path ------------------------------------------------------
+
+    def _execute_broker(
+        self, broker: "Broker", items: List[Tuple[int, JobSpec]]
+    ) -> Iterator[_Outcome]:
+        """Submit ``items`` to ``broker``; yield outcomes as workers finish.
+
+        Jobs done before the submit count as cached. The broker counts
+        only failed ``attempts``, plus expired-lease ``reclaims``; both
+        fold into the outcome's attempt count.
+        """
+        index_of = {job.content_hash(): index for index, job in items}
+        pre_done = {
+            h for h, out in broker.outcomes(list(index_of)).items()
+            if out.state == "done"
+        }
+        broker.submit([job for _, job in items], retry=self.retry)
+        start = time.perf_counter()
+        remaining = list(index_of)
+        while True:
+            finished = broker.outcomes(remaining)
+            for h, out in finished.items():
+                failure = out.failure()
+                attempts = out.attempts + (1 if failure is None else 0)
+                yield _Outcome(
+                    index=index_of[h],
+                    attempts=max(attempts, 1) + out.reclaims,
+                    timeouts=out.timeouts,
+                    value=out.result,
+                    job_s=None,
+                    failure=failure,
+                    cached=out.cached or h in pre_done,
+                )
+            remaining = [h for h in remaining if h not in finished]
+            if not remaining:
+                return
+            elapsed = time.perf_counter() - start
+            if self.wait_timeout_s is not None and elapsed > self.wait_timeout_s:
+                counts = broker.counts()
+                raise ExecError(
+                    f"broker drain timed out after {elapsed:.1f} s with "
+                    f"{counts.remaining} of {len(index_of)} jobs "
+                    f"unfinished ({counts.pending} pending, {counts.leased} "
+                    f"leased) -- are any workers running?"
+                )
+            # Dead workers are normally noticed by the next lease() call;
+            # reclaim here too so a fleet that died entirely still drains
+            # (to `failed` once reclaim budgets exhaust) instead of hanging.
+            broker.reclaim_expired()
+            time.sleep(self.poll_s)
 
     # -- serial path ------------------------------------------------------
 

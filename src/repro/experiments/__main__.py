@@ -20,15 +20,7 @@ import argparse
 import sys
 import time
 
-from repro.errors import ExecError
-from repro.exec import (
-    Broker,
-    ResultCache,
-    RetryPolicy,
-    default_cache_dir,
-    open_cache,
-)
-from repro.exec.cache import parse_age, parse_size
+from repro.exec import Broker, RetryPolicy, open_cache
 from repro.experiments import FULL_SCALE, SMOKE_SCALE
 from repro.experiments import fig3, fig5, fig6, table1, table2, table3, table4
 from repro.obs import ProgressLine
@@ -74,47 +66,26 @@ _BROKER_AWARE = frozenset({"table3", "fig5", "fig6"})
 
 
 def _cmd_cache(names, args) -> int:
+    """``cache stats|clear|evict``, run by the ``repro.sim`` CLI's one copy."""
+    from repro.sim.__main__ import CACHE_ACTIONS
+    from repro.sim.__main__ import main as sim_main
+
     action = names[1] if len(names) > 1 else "stats"
-    if action not in ("stats", "clear", "evict"):
+    if action not in CACHE_ACTIONS:
         print(
-            f"error: unknown cache action {action!r} (stats, clear, evict)",
+            f"error: unknown cache action {action!r} ({', '.join(CACHE_ACTIONS)})",
             file=sys.stderr,
         )
         return 2
-    cache = ResultCache(args.cache_dir or default_cache_dir())
-    if action == "clear":
-        print(f"removed {cache.clear()} cached results from {cache.directory}")
-        return 0
-    if action == "evict":
-        if args.max_bytes is None and args.max_age is None:
-            print(
-                "error: cache evict needs --max-bytes and/or --max-age",
-                file=sys.stderr,
-            )
-            return 2
-        report = cache.evict(
-            max_bytes=None if args.max_bytes is None else parse_size(args.max_bytes),
-            max_age_s=None if args.max_age is None else parse_age(args.max_age),
-        )
-        print(
-            f"evicted {report.removed_entries} entries "
-            f"(+{report.removed_traces} paired traces, "
-            f"{report.removed_junk} junk files), freed "
-            f"{report.freed_bytes / 1e6:.2f} MB; "
-            f"{report.remaining_bytes / 1e6:.2f} MB remain in {cache.directory}"
-        )
-        return 0
-    stats = cache.stats()
-    print(
-        f"cache {cache.directory}: {stats.entries} results, "
-        f"{stats.total_bytes / 1e6:.2f} MB"
-    )
-    if stats.orphans or stats.quarantined:
-        print(
-            f"  junk: {stats.orphans} orphaned temp files, "
-            f"{stats.quarantined} quarantined corrupt entries"
-        )
-    return 0
+    argv = ["cache", action]
+    for flag, value in (
+        ("--cache-dir", args.cache_dir),
+        ("--max-bytes", args.max_bytes),
+        ("--max-age", args.max_age),
+    ):
+        if value is not None:
+            argv += [flag, value]
+    return sim_main(argv)
 
 
 def main(argv=None) -> int:
@@ -126,7 +97,7 @@ def main(argv=None) -> int:
         nargs="+",
         help=(
             "experiment names (table1..table4, fig3, fig5, fig6), 'all', "
-            "'list', or 'cache stats'/'cache clear'"
+            "'list', or 'cache stats'/'cache clear'/'cache evict'"
         ),
     )
     parser.add_argument(
@@ -190,11 +161,7 @@ def main(argv=None) -> int:
             print(name)
         return 0
     if args.names[0] == "cache":
-        try:
-            return _cmd_cache(args.names, args)
-        except ExecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        return _cmd_cache(args.names, args)
     names = list(_EXPERIMENTS) if args.names == ["all"] else args.names
     unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:

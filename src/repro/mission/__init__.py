@@ -1,4 +1,4 @@
-"""Mission runners: exploration-only and closed-loop search."""
+"""Mission runners: exploration-only and closed-loop search, one tick loop."""
 
 from repro.mission.explorer import ExplorationMission, ExplorationResult
 from repro.mission.detector_model import CalibratedDetectorModel, DetectorOperatingPoint

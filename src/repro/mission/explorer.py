@@ -2,50 +2,25 @@
 
 Runs one policy in one room for a fixed flight time (3 minutes in the
 paper), tracking the drone with the simulated mocap system and reporting
-coverage statistics.
+coverage statistics. The flight is the shared tick loop
+(:func:`repro.mission.loop.fly`) with the camera off.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from repro.drone.crazyflie import Crazyflie, CrazyflieConfig
+from repro.drone.crazyflie import CrazyflieConfig
 from repro.errors import MissionError
 from repro.geometry.vec import Vec2
-from repro.mapping.coverage import CoverageSeries
-from repro.mapping.mocap import MotionCaptureTracker
-from repro.mapping.occupancy import OccupancyGrid
-from repro.obs import FlightRecorder, MissionTrace
+from repro.mission.loop import ExplorationResult, fly
+from repro.obs import MissionTrace
 from repro.policies.base import ExplorationPolicy
-from repro.seeding import SeedLike, spawn_streams
+from repro.seeding import SeedLike
 from repro.world.room import Room
 
 #: Flight time of every run in the paper's evaluation, seconds.
 DEFAULT_FLIGHT_TIME_S = 180.0
-
-
-@dataclass
-class ExplorationResult:
-    """Outcome of one exploration flight.
-
-    ``coverage`` is normalized by the grid cells *reachable* from the
-    start pose (free space connected to it), so a perfect sweep reports
-    1.0 on any world; ``coverage_raw`` keeps the historical
-    visited-over-all-cells fraction, which undercounts on worlds whose
-    grid has cells inside obstacles or sealed pockets.
-    """
-
-    coverage: float  #: fraction of reachable free-space cells visited, [0, 1]
-    grid: OccupancyGrid  #: final occupancy grid
-    series: CoverageSeries  #: coverage over time
-    collisions: int  #: control ticks with blocked motion
-    flight_time_s: float  #: simulated flight duration
-    distance_flown_m: float  #: integrated path length
-    samples: list = None  #: mocap trajectory (:class:`TrackedSample` list)
-    coverage_raw: float = 0.0  #: fraction of all grid cells visited, [0, 1]
-    reachable_cells: int = 0  #: grid cells reachable from the start pose
-    grid_cells: int = 0  #: total grid cells (the coverage_raw denominator)
 
 
 class ExplorationMission:
@@ -95,97 +70,14 @@ class ExplorationMission:
                 the run fully reproducible (also under the parallel
                 campaign runner).
         """
-        drone_stream, policy_stream = spawn_streams(seed, 2)
-        drone = Crazyflie(
+        result, self.last_trace = fly(
             self.room,
+            self.policy,
+            self.flight_time_s,
+            seed,
             start=self.start,
-            heading=self.start_heading,
-            config=self.drone_config,
-            seed=drone_stream,
+            start_heading=self.start_heading,
+            drone_config=self.drone_config,
+            record=self.record,
         )
-        self.policy.reset(policy_stream)
-        tracker = MotionCaptureTracker(self.room, start=drone.state.position)
-        series = CoverageSeries()
-        distance = 0.0
-        last_pos = drone.state.position
-        n_steps = int(round(self.flight_time_s / drone.dt))
-        recorder = None
-        if not self.record:
-            for _ in range(n_steps):
-                reading = drone.read_ranger()
-                setpoint = self.policy.update(reading, drone.estimated_state)
-                state = drone.step(setpoint)
-                distance += state.position.distance_to(last_pos)
-                last_pos = state.position
-                if tracker.observe(state):
-                    series.append(state.time, tracker.coverage())
-        else:
-            # Instrumented twin of the loop above: same calls in the
-            # same order (the recorder only observes), plus per-phase
-            # wall-clock accounting and per-tick telemetry capture.
-            # Phase seconds accumulate in locals -- the timing overhead
-            # per tick is a handful of perf_counter() calls.
-            import time as _time
-
-            perf = _time.perf_counter
-            recorder = FlightRecorder("explore")
-            rtick = recorder.tick
-            dynamics = drone.dynamics
-            ph_ranger = ph_policy = ph_step = ph_mocap = 0.0
-            for _ in range(n_steps):
-                t0 = perf()
-                reading = drone.read_ranger()
-                t1 = perf()
-                estimate = drone.estimated_state
-                setpoint = self.policy.update(reading, estimate)
-                t2 = perf()
-                state = drone.step(setpoint)
-                t3 = perf()
-                distance += state.position.distance_to(last_pos)
-                last_pos = state.position
-                sampled = tracker.observe(state)
-                t4 = perf()
-                ph_ranger += t1 - t0
-                ph_policy += t2 - t1
-                ph_step += t3 - t2
-                ph_mocap += t4 - t3
-                if sampled:
-                    coverage = tracker.coverage()
-                    series.append(state.time, coverage)
-                    recorder.coverage_sample(state.time, coverage)
-                rtick(
-                    state,
-                    estimate,
-                    setpoint,
-                    reading,
-                    dynamics.collision_count,
-                )
-            recorder.add_phase("ranger", ph_ranger)
-            recorder.add_phase("policy", ph_policy)
-            recorder.add_phase("step", ph_step)
-            recorder.add_phase("mocap", ph_mocap)
-        result = ExplorationResult(
-            coverage=tracker.coverage(),
-            grid=tracker.grid,
-            series=series,
-            collisions=drone.dynamics.collision_count,
-            flight_time_s=self.flight_time_s,
-            distance_flown_m=distance,
-            samples=tracker.samples,
-            coverage_raw=tracker.coverage_raw(),
-            reachable_cells=tracker.reachable_cells,
-            grid_cells=tracker.grid.n_cells,
-        )
-        if recorder is not None:
-            self.last_trace = recorder.finish(
-                {
-                    "coverage": result.coverage,
-                    "coverage_raw": result.coverage_raw,
-                    "collisions": result.collisions,
-                    "distance_flown_m": result.distance_flown_m,
-                    "flight_time_s": result.flight_time_s,
-                    "reachable_cells": result.reachable_cells,
-                    "grid_cells": result.grid_cells,
-                }
-            )
         return result

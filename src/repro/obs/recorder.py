@@ -14,18 +14,20 @@ asserts the ceiling).
 
 Phase timing uses :func:`time.perf_counter` -- wall clock, stored in
 the trace's ``timings`` section only, which the replay bit-identity
-contract deliberately ignores (see :mod:`repro.obs.trace`). Mission
-loops accumulate per-phase seconds in local variables and hand the
-totals to :meth:`FlightRecorder.add_phase` once per phase; the
+contract deliberately ignores (see :mod:`repro.obs.trace`). The mission
+tick loop (:func:`repro.mission.loop.fly`) wraps its bound callables --
+ranger read, policy update, drone step, mocap, camera, detector -- in
+:meth:`FlightRecorder.timed` when recording, so each call adds its own
+wall clock to its phase and the unrecorded loop times nothing. The
 :meth:`FlightRecorder.phase` context manager offers the same
-accounting for code outside the per-tick hot path.
+accounting for a block of code.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.trace import TICK_COLUMNS, MissionTrace
 
@@ -112,24 +114,33 @@ class FlightRecorder:
         """Record one first-detection event."""
         self.detections.append([name, object_class, t, distance_m])
 
-    def add_phase(self, name: str, seconds: float) -> None:
-        """Accumulate wall-clock ``seconds`` into phase ``name``."""
-        self.phases[name] = self.phases.get(name, 0.0) + seconds
+    def timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """``fn`` wrapped to add the wall clock of every call to phase ``name``."""
+        phases = self.phases
+        phases.setdefault(name, 0.0)
+        clock = time.perf_counter
+
+        def timed_call(*args: Any) -> Any:
+            start = clock()
+            result = fn(*args)
+            phases[name] += clock() - start
+            return result
+
+        return timed_call
 
     @contextmanager
     def phase(self, name: str):
         """Accumulate wall-clock seconds into phase ``name``.
 
         Usable as ``with recorder.phase("policy"): ...`` around each
-        stage; repeated entries sum. Mission tick loops use
-        :meth:`add_phase` with locally accumulated totals instead --
-        a generator frame per tick is measurable at control rate.
+        stage; repeated entries sum.
         """
         start = time.perf_counter()
         try:
             yield
         finally:
-            self.add_phase(name, time.perf_counter() - start)
+            elapsed = time.perf_counter() - start
+            self.phases[name] = self.phases.get(name, 0.0) + elapsed
 
     def finish(self, final: Dict[str, Any]) -> MissionTrace:
         """Seal the recording into a :class:`MissionTrace`.

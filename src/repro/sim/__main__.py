@@ -189,6 +189,10 @@ def _summary(result: CampaignResult) -> str:
     )
 
 
+#: ``cache`` subcommand actions; ``python -m repro.experiments cache`` runs them too.
+CACHE_ACTIONS = ("stats", "clear", "evict")
+
+
 def _cmd_cache(args) -> int:
     cache = ResultCache(args.cache_dir or default_cache_dir())
     store = TraceStore(cache.directory)
@@ -306,7 +310,7 @@ def _cmd_run(args) -> int:
     fleet_block = args.fleet_block
     if args.broker:
         mode = f"broker({args.broker})"
-    elif fleet_block is not None and fleet_block > 1 and not args.record:
+    elif fleet_block is not None and fleet_block > 1:
         mode = f"fleet(block={fleet_block})"
     elif workers is None or workers == 1:
         mode = "serial"
@@ -464,8 +468,7 @@ def main(argv=None) -> int:
     run.add_argument(
         "--fleet-block", type=int, default=None, metavar="N",
         help="step same-world missions in vectorized lock-step blocks of "
-        "up to N (results byte-identical to serial; ignored with "
-        "--broker/--record)",
+        "up to N (results byte-identical to serial)",
     )
     run.add_argument("--name", default="cli", help="campaign name used in the result file")
     run.add_argument("--out", default=None, help="directory for the JSON result (default: don't persist)")
@@ -566,7 +569,7 @@ def main(argv=None) -> int:
     cache = sub.add_parser(
         "cache", help="inspect, clear or evict from the result cache"
     )
-    cache.add_argument("action", choices=("stats", "clear", "evict"))
+    cache.add_argument("action", choices=CACHE_ACTIONS)
     cache.add_argument(
         "--cache-dir", default=None,
         help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,8 +186,12 @@ class MissionRecord:
         )
 
     def to_dict(self) -> dict:
-        """Plain-data form for JSON persistence."""
-        return asdict(self)
+        """Plain-data form for JSON persistence.
+
+        Shallow: every field is immutable, so ``dataclasses.asdict``'s
+        deep copy of each coverage-series float would buy nothing.
+        """
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MissionRecord":

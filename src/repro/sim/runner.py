@@ -5,9 +5,11 @@ self-contained and owns an independent seed stream -- so they map 1:1
 onto execution-layer jobs: :func:`mission_job` turns a spec into a
 :class:`~repro.exec.jobspec.JobSpec` whose payload is the spec's plain
 dict (seed provenance lives on the job, not in the payload) and whose
-content hash keys the persistent result cache. Serial, pooled and
-cache-hit execution produce bit-identical records, merely in a
-different wall-clock order; records are re-sorted by mission index
+content hash keys the persistent result cache. :func:`run_campaign`
+hands the jobs to one :class:`~repro.exec.Executor` call whichever the
+mode -- serial, pooled, broker-drained, fleet blocks (an executor
+batch) or cache hits -- and all produce bit-identical records, merely
+in a different wall-clock order; records are re-sorted by mission index
 inside the :class:`~repro.sim.results.CampaignResult`, which makes the
 paths indistinguishable downstream.
 """
@@ -15,25 +17,24 @@ paths indistinguishable downstream.
 from __future__ import annotations
 
 import dataclasses
-import time
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import schemas
 from repro.errors import ExecError
 from repro.exec import (
+    Batch,
     Broker,
     Executor,
-    ExecutionReport,
     JobFailure,
     JobSpec,
     ResultCache,
     RetryPolicy,
     SubmitReport,
     default_cache_dir,
+    resolve_workers,
 )
-from repro.exec import resolve_workers  # noqa: F401  (re-export, see below)
 from repro.exec.executor import ProgressCallback as ExecProgressCallback
 from repro.mission.closed_loop import ClosedLoopMission
 from repro.mission.detector_model import CalibratedDetectorModel
@@ -227,246 +228,22 @@ def enqueue_campaign(
     )
 
 
-def _drain_broker(
-    campaign: Campaign,
-    broker: Broker,
-    jobs: List[JobSpec],
-    progress: Optional[ProgressCallback],
-    exec_progress: Optional[ExecProgressCallback],
-    keep_going: bool,
-    poll_s: float,
-    wait_timeout_s: Optional[float],
-) -> CampaignResult:
-    """Poll ``broker`` until every campaign job finished; collect results."""
-    specs = campaign.missions()
-    hashes = [job.content_hash() for job in jobs]
-    by_hash = {h: job for h, job in zip(hashes, jobs)}
-    unique = list(by_hash)
-    pre_done = {
-        h for h, out in broker.outcomes(unique).items() if out.state == "done"
-    }
-    start = time.perf_counter()
-    finished: dict = {}
-    while True:
-        fresh = {
-            h: out
-            for h, out in broker.outcomes(unique).items()
-            if h not in finished
-        }
-        for h, out in fresh.items():
-            finished[h] = out
-            if progress is None and exec_progress is None:
-                continue
-            if out.state == "failed":
-                payload: object = out.failure()
-            else:
-                payload = out.result
-            done = len(finished)
-            cached = out.cached or h in pre_done
-            if exec_progress is not None:
-                exec_progress(done, len(unique), by_hash[h], payload, cached)
-            if progress is not None and not isinstance(payload, JobFailure):
-                progress(done, len(unique), MissionRecord.from_dict(payload))
-        if len(finished) == len(unique):
-            break
-        elapsed = time.perf_counter() - start
-        if wait_timeout_s is not None and elapsed > wait_timeout_s:
-            counts = broker.counts()
-            raise ExecError(
-                f"broker drain timed out after {elapsed:.1f} s with "
-                f"{counts.remaining} of {len(unique)} campaign jobs "
-                f"unfinished ({counts.pending} pending, {counts.leased} "
-                f"leased) -- are any workers running?"
-            )
-        # Dead workers are normally noticed by the next lease() call;
-        # reclaim here too so a fleet that died entirely still drains
-        # (to `failed` once reclaim budgets exhaust) instead of hanging.
-        broker.reclaim_expired()
-        time.sleep(poll_s)
-    elapsed = time.perf_counter() - start
-    records = []
-    failures = []
-    retried = timed_out = 0
-    executed = cached_n = failed_n = 0
-    for h in unique:
-        out = finished[h]
-        timed_out += out.timeouts
-        if out.state == "failed":
-            failed_n += 1
-            retried += max(out.attempts - 1, 0) + out.reclaims
-        else:
-            retried += out.attempts + out.reclaims
-            if out.cached or h in pre_done:
-                cached_n += 1
-            else:
-                executed += 1
-    for spec, h in zip(specs, hashes):
-        out = finished[h]
-        if out.state == "failed":
-            failure = out.failure()
-            if not keep_going:
-                raise ExecError(
-                    f"job {failure.summary()} "
-                    f"(pass keep_going to isolate failures)"
-                )
-            failures.append({"index": spec.index, **failure.to_dict()})
-        else:
-            records.append(MissionRecord.from_dict(out.result))
-    report = ExecutionReport(
-        total=len(jobs),
-        executed=executed,
-        cached=cached_n + (len(jobs) - len(unique)),
-        elapsed_s=elapsed,
-        failed=failed_n,
-        retried=retried,
-        timed_out=timed_out,
-    )
-    return CampaignResult(
-        campaign.to_dict(),
-        campaign.campaign_hash(),
-        records,
-        execution=report,
-        failures=failures,
-    )
+def _fleet_batch(
+    specs: Sequence[MissionSpec], jobs: Sequence[JobSpec], size: int
+) -> Batch:
+    """Fleet blocks as an executor batch: one ``fly_fleet`` call per block."""
+    from repro.sim import fleet
 
+    spec_of = {job.content_hash(): spec for spec, job in zip(specs, jobs)}
 
-def _run_campaign_fleet(
-    campaign: Campaign,
-    fleet_block: int,
-    progress: Optional[ProgressCallback],
-    cache: Optional[ResultCache],
-    exec_progress: Optional[ExecProgressCallback],
-    retry: Optional[RetryPolicy],
-    keep_going: bool,
-) -> CampaignResult:
-    """Fleet path of :func:`run_campaign`: step same-world blocks in lock-step.
+    def fly_block(block: List[JobSpec]) -> List[dict]:
+        records = fleet.fly_fleet([spec_of[job.content_hash()] for job in block])
+        return [record.to_dict() for record in records]
 
-    Cache hits are served first in mission order (exactly like the
-    executor path); the remaining missions are grouped by
-    :func:`~repro.sim.fleet.fleet_key` into blocks of at most
-    ``fleet_block`` and each block flies as one
-    :func:`~repro.sim.fleet.fly_fleet` call. Every member keeps its own
-    job identity: one cache entry per mission, progress fired per
-    member, and the execution report's per-job wall clocks are the
-    block time amortized over its members. A block that raises falls
-    back to per-mission serial execution (honoring ``retry`` /
-    ``keep_going``), so fleet mode never turns one bad mission into a
-    lost block.
-    """
-    from repro.sim.fleet import fleet_key, fly_fleet
-
-    specs = campaign.missions()
-    jobs = [mission_job(spec) for spec in specs]
-    total = len(jobs)
-    start = time.perf_counter()
-    done = 0
-    payloads: dict = {}  # mission index -> result dict or JobFailure
-    cached_n = 0
-    if cache is not None:
-        for spec, job in zip(specs, jobs):
-            value, hit = cache.get(job)
-            if not hit:
-                continue
-            payloads[spec.index] = value
-            cached_n += 1
-            done += 1
-            if exec_progress is not None:
-                exec_progress(done, total, job, value, True)
-            if progress is not None:
-                progress(done, total, MissionRecord.from_dict(value))
-
-    blocks: List[List[Tuple[MissionSpec, JobSpec]]] = []
-    open_blocks: dict = {}
-    for spec, job in zip(specs, jobs):
-        if spec.index in payloads:
-            continue
-        key = fleet_key(spec)
-        block = open_blocks.get(key)
-        if block is None or len(block) >= fleet_block:
-            block = []
-            open_blocks[key] = block
-            blocks.append(block)
-        block.append((spec, job))
-
-    executed = 0
-    failed_n = 0
-    retried = 0
-    timed_out = 0
-    failures: List[dict] = []
-    # (per-mission amortized seconds, label) of every fresh flight.
-    timings: List[Tuple[float, str]] = []
-    for block in blocks:
-        block_specs = [spec for spec, _ in block]
-        t0 = time.perf_counter()
-        try:
-            records = fly_fleet(block_specs)
-        except Exception:
-            # One bad mission must not sink its block-mates: re-fly the
-            # members individually with the executor's fault tolerance.
-            executor = Executor(
-                workers=None, cache=cache, retry=retry, keep_going=keep_going
-            )
-            member_jobs = [job for _, job in block]
-            member_payloads = executor.run(member_jobs)
-            report = executor.last_report
-            if report is not None:
-                executed += report.executed
-                cached_n += report.cached
-                failed_n += report.failed
-                retried += report.retried
-                timed_out += report.timed_out
-                if report.executed:
-                    timings.append((report.job_min_s, ""))
-                    timings.append((report.job_max_s, report.slowest_label))
-            for (spec, job), payload in zip(block, member_payloads):
-                payloads[spec.index] = payload
-                done += 1
-                if exec_progress is not None:
-                    exec_progress(done, total, job, payload, False)
-                if progress is not None and not isinstance(payload, JobFailure):
-                    progress(done, total, MissionRecord.from_dict(payload))
-            continue
-        per_mission_s = (time.perf_counter() - t0) / len(block)
-        for (spec, job), outcome in zip(block, records):
-            payload = outcome.to_dict()
-            if cache is not None:
-                cache.put(job, payload)
-            payloads[spec.index] = payload
-            executed += 1
-            done += 1
-            timings.append((per_mission_s, job.label or job.content_hash()[:12]))
-            if exec_progress is not None:
-                exec_progress(done, total, job, payload, False)
-            if progress is not None:
-                progress(done, total, MissionRecord.from_dict(payload))
-
-    records_out = []
-    for spec in specs:
-        payload = payloads[spec.index]
-        if isinstance(payload, JobFailure):
-            failures.append({"index": spec.index, **payload.to_dict()})
-        else:
-            records_out.append(MissionRecord.from_dict(payload))
-    fresh = [t for t, _ in timings]
-    report = ExecutionReport(
-        total=total,
-        executed=executed,
-        cached=cached_n,
-        elapsed_s=time.perf_counter() - start,
-        failed=failed_n,
-        retried=retried,
-        timed_out=timed_out,
-        job_min_s=min(fresh) if fresh else 0.0,
-        job_mean_s=sum(fresh) / len(fresh) if fresh else 0.0,
-        job_max_s=max(fresh) if fresh else 0.0,
-        slowest_label=max(timings, key=lambda t: t[0])[1] if timings else "",
-    )
-    return CampaignResult(
-        campaign.to_dict(),
-        campaign.campaign_hash(),
-        records_out,
-        execution=report,
-        failures=failures,
+    return Batch(
+        size,
+        key=lambda job: fleet.fleet_key(spec_of[job.content_hash()]),
+        run=fly_block,
     )
 
 
@@ -532,8 +309,9 @@ def run_campaign(
             -m repro.exec worker`` daemons drain the queue, and this
             call polls until every mission finished. ``workers`` is
             ignored (fleet size is however many daemons are running)
-            and ``cache`` is the *workers'* concern; results are
-            byte-identical to a serial in-process run. ``retry`` and
+            and a ``cache`` serves its hits before the rest is
+            enqueued; results are byte-identical to a serial
+            in-process run. ``retry`` and
             ``keep_going`` keep their meaning (attempt budgets are
             fixed at submit time).
         poll_s: broker mode only -- seconds between outcome polls.
@@ -546,10 +324,10 @@ def run_campaign(
             :func:`~repro.sim.fleet.fly_fleet` instead of flying
             missions one by one. Purely a throughput knob: records,
             cache entries (one per mission, same job hashes) and saved
-            result files are byte-identical to the serial path.
-            Ignored in broker mode and when ``record`` is set (traces
-            are a per-mission serial concern); ``None``/``1`` keeps
-            the historical per-mission paths.
+            result files are byte-identical to the serial path. Blocks
+            fly unrecorded in this process, so ``record``, a ``broker``
+            or more than one worker is rejected; ``None``/``1`` flies
+            missions one by one.
 
     Returns:
         A :class:`~repro.sim.results.CampaignResult` with one record per
@@ -559,7 +337,8 @@ def run_campaign(
         counters).
 
     Raises:
-        ExecError: for a negative ``workers`` count, or a failed
+        ExecError: for a negative ``workers`` count, ``fleet_block``
+            combined with ``record``, a broker or a pool, or a failed
             mission without ``keep_going``.
 
     Example:
@@ -578,36 +357,38 @@ def run_campaign(
         >>> result.execution.executed
         1
     """
+    batched = fleet_block is not None and fleet_block > 1
+    if batched:
+        clash = (
+            "record=True" if record
+            else "a broker" if broker is not None
+            else f"workers={workers}" if resolve_workers(workers) > 1
+            else None
+        )
+        if clash is not None:
+            raise ExecError(
+                f"fleet_block={fleet_block} cannot be combined with {clash}: "
+                f"fleet blocks fly unrecorded, in this process"
+            )
     store = None
     if record:
         if trace_dir is None:
             trace_dir = cache.directory if cache is not None else default_cache_dir()
         store = TraceStore(trace_dir)
-    if broker is not None:
-        jobs = campaign_jobs(campaign, record=record, trace_dir=trace_dir)
-        broker.submit(jobs, retry=retry)
-        return _drain_broker(
-            campaign,
-            broker,
-            jobs,
-            progress,
-            exec_progress,
-            keep_going,
-            poll_s,
-            wait_timeout_s,
-        )
-    if fleet_block is not None and fleet_block > 1 and not record:
-        return _run_campaign_fleet(
-            campaign, fleet_block, progress, cache, exec_progress, retry,
-            keep_going,
-        )
     specs = campaign.missions()
     jobs = [
         mission_job(spec, trace_dir=trace_dir if record else None)
         for spec in specs
     ]
     executor = Executor(
-        workers=workers, cache=cache, retry=retry, keep_going=keep_going
+        workers=workers,
+        cache=cache,
+        retry=retry,
+        keep_going=keep_going,
+        broker=broker,
+        poll_s=poll_s,
+        wait_timeout_s=wait_timeout_s,
+        batch=_fleet_batch(specs, jobs, fleet_block) if batched else None,
     )
     combined = None
     if progress is not None or exec_progress is not None:

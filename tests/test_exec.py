@@ -9,7 +9,9 @@ import pytest
 from repro.errors import ExecError
 from repro.exec import (
     CACHE_SCHEMA,
+    Batch,
     Executor,
+    JobFailure,
     JobSpec,
     ResultCache,
     canonical_value,
@@ -17,7 +19,7 @@ from repro.exec import (
     json_roundtrip,
     resolve_workers,
 )
-from repro.exec.demo import scaled_sum, seeded_normals
+from repro.exec.demo import run_each, scaled_sum, seeded_normals
 
 
 def demo_job(n=2, entropy=5, key=(0,), version="v1", label=""):
@@ -325,6 +327,65 @@ class TestRefreshAndTimings:
         executor = Executor(cache=cache)
         executor.run([demo_job()])
         assert executor.last_report.timings_summary() == ""
+
+
+def sum_job(i, label=""):
+    return JobSpec(
+        fn="repro.exec.demo:scaled_sum",
+        kwargs={"values": [1.0, float(i)], "factor": 2.0},
+        version="v1",
+        label=label,
+    )
+
+
+class TestBatchedBackend:
+    """Jobs sharing a key run in blocks, one call per block."""
+
+    def counting_batch(self, size, blocks, key=lambda job: job.fn):
+        def run(jobs):
+            blocks.append(len(jobs))
+            return run_each(jobs)
+
+        return Batch(size, key=key, run=run)
+
+    def test_blocks_fill_by_key_and_results_match_serial(self, tmp_path):
+        jobs = [sum_job(i, label=f"sum {i}") for i in range(5)]
+        blocks = []
+        cache = ResultCache(str(tmp_path))
+        executor = Executor(cache=cache, batch=self.counting_batch(2, blocks))
+        assert executor.run(jobs) == Executor().run(jobs)
+        assert blocks == [2, 2, 1]
+        # Each member is its own job: one cache entry apiece.
+        assert cache.stats().entries == 5
+        assert Executor(cache=cache).run(jobs) == executor.run(jobs)
+
+    def test_members_share_the_amortized_block_time(self):
+        executor = Executor(batch=self.counting_batch(3, []))
+        executor.run([sum_job(i, label=f"sum {i}") for i in range(3)])
+        report = executor.last_report
+        assert report.executed == 3
+        assert report.job_min_s == report.job_mean_s == report.job_max_s
+        assert report.slowest_label.startswith("sum ")
+
+    def test_raising_block_falls_back_to_one_member_at_a_time(self):
+        bad = JobSpec(fn="repro.exec.demo:always_fails", label="bad")
+        jobs = [sum_job(0), bad, sum_job(1)]
+        blocks = []
+        batch = self.counting_batch(3, blocks, key=lambda job: 0)
+        executor = Executor(batch=batch, keep_going=True)
+        results = executor.run(jobs)
+        assert blocks == [3]
+        assert results[0] == scaled_sum([1.0, 0.0], 2.0)
+        assert results[2] == scaled_sum([1.0, 1.0], 2.0)
+        assert isinstance(results[1], JobFailure)
+        assert results[1].label == "bad"
+        report = executor.last_report
+        assert (report.executed, report.failed) == (2, 1)
+
+    @pytest.mark.parametrize("kwargs", [{"workers": 2}, {"broker": object()}])
+    def test_batch_runs_in_process_only(self, kwargs):
+        with pytest.raises(ExecError, match="in-process"):
+            Executor(batch=Batch(2, key=lambda job: 0, run=run_each), **kwargs)
 
 
 class TestCacheInventory:

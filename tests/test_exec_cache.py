@@ -12,6 +12,7 @@ import pytest
 
 import repro.sim.runner as runner
 from repro.exec import ResultCache
+from repro.obs import TraceStore
 from repro.sim import Campaign, get_scenario, run_campaign
 from repro.sim.__main__ import main
 from repro.sim.runner import mission_job
@@ -139,6 +140,19 @@ class TestCliCaching:
         assert "removed 2 cached results" in out
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         assert "0 results" in capsys.readouterr().out
+
+    def test_experiments_cache_clear_removes_traces_too(self, tmp_path, capsys):
+        """Both CLIs' `cache clear` go through one implementation."""
+        from repro.experiments.__main__ import main as experiments_main
+
+        self.run_cli(tmp_path, "out1", extra=["--record"])
+        cache_dir = str(tmp_path / "cache")
+        assert TraceStore(cache_dir).stats().traces == 2
+        assert experiments_main(["cache", "clear", "--cache-dir", cache_dir]) == 0
+        assert "2 flight traces" in capsys.readouterr().out
+        assert TraceStore(cache_dir).stats().traces == 0
+        assert ResultCache(cache_dir).stats().entries == 0
+        assert experiments_main(["cache", "evict", "--cache-dir", cache_dir]) == 2
 
 
 class TestPayloadRoundTrip:

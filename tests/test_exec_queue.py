@@ -606,6 +606,26 @@ class TestCampaignByteIdentity:
             with pytest.raises(ExecError, match="are any workers running"):
                 run_campaign(campaign, broker=broker, wait_timeout_s=0.3, poll_s=0.05)
 
+    def test_recollecting_a_drained_campaign_flies_nothing(self, tmp_path):
+        """Jobs the broker finished before the submit count as cached."""
+        campaign = _smoke_campaign()
+        n = len(campaign.missions())
+        with Broker(str(tmp_path / "queue.db")) as broker:
+            enqueue_campaign(campaign, broker)
+            Worker(broker, exit_when_drained=True, poll_s=0.01).run()
+            seen = []
+            result = run_campaign(
+                campaign,
+                broker=broker,
+                wait_timeout_s=30.0,
+                exec_progress=lambda done, total, job, payload, cached: seen.append(cached),
+            )
+        assert result.execution.executed == 0
+        assert result.execution.cached == n
+        assert seen == [True] * n
+        assert result.execution.timings_summary() == ""
+        assert result.to_json() == run_campaign(campaign).to_json()
+
     def test_enqueue_campaign_is_idempotent(self, tmp_path):
         campaign = _smoke_campaign()
         with Broker(str(tmp_path / "queue.db")) as broker:

@@ -41,6 +41,17 @@ PIN_RESULT_SHA256 = (
 PIN_MAZE_JOB_HASH = (
     "8060b6e313f3088647b752de09d502d9f989886a08cbb054cafdb82f2b4ea980"
 )
+#: Telemetry fingerprints (:meth:`MissionTrace.fingerprint`) of the
+#: first recorded mission of PIN_CAMPAIGN (search) and of the explore
+#: campaign. ``replay --verify`` only compares two flights of the same
+#: code, so these pins are what catches a telemetry change that would
+#: break traces users have already recorded.
+PIN_SEARCH_TRACE_FINGERPRINT = (
+    "d67e2f4764f36ac72dc54b6a6dc443ca5ec2bdb58ae608f3e85c5715735c43c3"
+)
+PIN_EXPLORE_TRACE_FINGERPRINT = (
+    "f0dc9d5abb25ddd353a513e44641191547f1db048e8d11f47a41f1a4e0cf096a"
+)
 
 
 def pin_campaign():
@@ -71,6 +82,22 @@ class TestRecordingIsFree:
         assert no_trace is None
         assert trace is not None and trace.n_ticks > 0
         assert recorded.to_dict() == plain.to_dict()
+
+    @pytest.mark.parametrize(
+        "campaign, phases",
+        [
+            (pin_campaign, {"ranger", "policy", "step", "mocap", "camera", "detect"}),
+            (explore_campaign, {"ranger", "policy", "step", "mocap"}),
+        ],
+        ids=["search", "explore"],
+    )
+    def test_trace_times_each_tick_phase(self, campaign, phases):
+        spec = next(iter(campaign().missions()))
+        _, trace = fly_mission(spec, record=True)
+        timings = trace.timings
+        assert set(timings["phases"]) == phases
+        assert all(seconds >= 0.0 for seconds in timings["phases"].values())
+        assert timings["ticks"] == trace.n_ticks == round(spec.flight_time_s * 50)
 
     def test_trace_side_channel_keeps_job_hash(self, tmp_path):
         spec = next(iter(pin_campaign().missions()))
@@ -202,6 +229,19 @@ class TestPrePRPins:
         )
         spec = next(iter(campaign.missions()))
         assert mission_job(spec).content_hash() == PIN_MAZE_JOB_HASH
+
+    @pytest.mark.parametrize(
+        "campaign, pin",
+        [
+            (pin_campaign, PIN_SEARCH_TRACE_FINGERPRINT),
+            (explore_campaign, PIN_EXPLORE_TRACE_FINGERPRINT),
+        ],
+        ids=["search", "explore"],
+    )
+    def test_trace_fingerprint_unchanged(self, campaign, pin):
+        spec = next(iter(campaign().missions()))
+        _, trace = fly_mission(spec, record=True)
+        assert trace.fingerprint() == pin
 
     def test_campaign_definition_roundtrips(self):
         campaign = pin_campaign()

@@ -14,8 +14,8 @@ when per-sensor seed streams landed.
 import pytest
 
 from repro import schemas
-from repro.errors import MissionError
-from repro.exec import JobFailure, ResultCache
+from repro.errors import ExecError, MissionError
+from repro.exec import Broker, JobFailure, ResultCache
 from repro.sim import Campaign, get_scenario, scenario_names
 from repro.sim.campaign import MissionSpec
 from repro.sim.fleet import fleet_key, fly_fleet
@@ -179,6 +179,19 @@ def test_run_campaign_fleet_reports_members_individually(tmp_path):
     assert report.job_mean_s > 0.0
     assert report.job_min_s <= report.job_mean_s <= report.job_max_s
     assert report.slowest_label
+
+
+@pytest.mark.parametrize("clash", ["record=True", "a broker", "workers=2"])
+def test_run_campaign_fleet_block_rejects_other_paths(tmp_path, clash):
+    """fleet_block fails loudly instead of silently flying another path."""
+    with Broker(str(tmp_path / "queue.db")) as broker:
+        kwargs = {
+            "record=True": {"record": True, "trace_dir": str(tmp_path)},
+            "a broker": {"broker": broker},
+            "workers=2": {"workers": 2},
+        }[clash]
+        with pytest.raises(ExecError, match=f"fleet_block=4 cannot be combined with {clash}"):
+            run_campaign(_campaign(), fleet_block=4, **kwargs)
 
 
 def test_run_campaign_fleet_shares_cache_with_serial(tmp_path):
