@@ -1,18 +1,13 @@
-"""Simulation-core microbenchmark: vectorized tick loop vs. the pre-PR path.
+"""Simulation-core microbenchmark: absolute tick-loop and kernel throughput.
 
-Measures single-mission throughput (control ticks/second) for the
-batched, grid-accelerated simulation core against a faithful *legacy
-emulation* of the pre-refactor hot path: per-beam numpy raycasts with
-fresh temporaries, ``np.clip`` in the ToF noise model, per-call obstacle
-segment rebuilding in ``Room.is_free``, per-sample ``TrackedSample``
-allocation plus ``visited.sum()`` coverage, and the per-draw sensor noise
-path. The legacy implementations are copied verbatim from the seed tree
-and monkeypatched in for the baseline runs, so both sides execute in the
-same process on the same interpreter -- and both must produce
-bit-identical mission results, which the benchmark asserts.
-
-Also times the raycast kernels in isolation (legacy per-ray loop vs.
-batched broadcast vs. uniform grid) across segment counts.
+Measures single-mission throughput (wall seconds and control ticks per
+second) of the closed-loop tick loop on three presets, flying each
+mission several times and asserting that the repeats are identical.
+Also times the raycast kernels in isolation (brute force vs. uniform
+grid) across segment counts, the ``is_free``/``clearance``
+point queries (grid vs. brute, bit-identity asserted), the free-space
+raster build against pinned fingerprints, and fleet-vectorized vs.
+serial stepping (record bit-identity asserted).
 
 Run standalone (this is what CI's bench smoke step does):
 
@@ -20,8 +15,8 @@ Run standalone (this is what CI's bench smoke step does):
 
 or through pytest: ``pytest benchmarks/bench_sim_core.py``. Results land
 in ``BENCH_sim_core.json`` (see README "Performance"). Set
-``REPRO_BENCH_RELAX=1`` on loaded machines to skip the speedup
-assertion.
+``REPRO_BENCH_RELAX=1`` on loaded machines to skip the point-query and
+fleet speedup assertions; the identity assertions always run.
 """
 
 import argparse
@@ -29,38 +24,22 @@ import json
 import math
 import os
 import time
-from contextlib import contextmanager
-from typing import List, Optional
 
 import numpy as np
 
-from repro.drone.crazyflie import CrazyflieConfig
-from repro.drone.dynamics import DroneDynamics, DroneState
-from repro.drone.state_estimator import EstimatedState, StateEstimator
 from repro.experiments.reporting import ascii_table, machine_info
 from repro.geometry.raycast import RayCaster
 from repro.geometry.vec import Vec2
-from repro.mapping.mocap import MotionCaptureTracker, TrackedSample
-from repro.mapping.occupancy import OccupancyGrid
 from repro.mission.closed_loop import ClosedLoopMission
 from repro.mission.detector_model import CalibratedDetectorModel, paper_operating_points
 from repro.policies import PolicyConfig
 from repro.policies.registry import make_policy
-from repro.sensors.camera import HimaxCamera
-from repro.sensors.tof import ToFSensor
 from repro.sim import generate_scenario, get_scenario
 from repro.world.layouts import cluttered_room
 from repro.world.room import Room
 
 #: Scenarios timed by the mission benchmark.
 MISSION_SCENARIOS = ("paper-room", "dense-depot", "apartment")
-
-#: Required speedup of the optimized core over the legacy emulation for a
-#: single paper-room closed-loop mission (the PR-2 acceptance bar). Quick
-#: mode flies 3x shorter missions, so per-mission setup amortizes less
-#: and the smoke bar is lower.
-REQUIRED_PAPER_ROOM_SPEEDUP = 3.0
-REQUIRED_PAPER_ROOM_SPEEDUP_QUICK = 2.5
 
 #: Required grid-vs-brute speedup for ``is_free`` point queries on a
 #: generated 1000+-segment world (the PR-3 acceptance bar).
@@ -77,295 +56,22 @@ FLEET_SIZES = (1, 8, 64)
 REQUIRED_FLEET_SPEEDUP = 3.0
 REQUIRED_FLEET_SPEEDUP_QUICK = 2.5
 
-_EPS = 1e-12
 
-
-# --------------------------------------------------------------------------
-# Legacy (pre-PR) hot-path implementations, copied from the seed tree.
-
-
-def _legacy_cast_distance(self, origin, heading) -> Optional[float]:
-    dx, dy = math.cos(heading), math.sin(heading)
-    denom = dx * self._ey - dy * self._ex
-    ox = self._ax - origin.x
-    oy = self._ay - origin.y
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (ox * self._ey - oy * self._ex) / denom
-        u = (ox * dy - oy * dx) / denom
-    valid = (np.abs(denom) > _EPS) & (t >= 0.0) & (u >= -1e-9) & (u <= 1.0 + 1e-9)
-    if not np.any(valid):
-        return None
-    return float(np.min(t[valid]))
-
-
-def _legacy_cast(self, origin, heading, max_range=math.inf) -> float:
-    d = _legacy_cast_distance(self, origin, heading)
-    if d is None or d > max_range:
-        return max_range
-    return d
-
-
-def _legacy_cast_hit(self, origin, heading):
-    return _legacy_cast_distance(self, origin, heading)
-
-
-def _legacy_cast_many(self, origin, headings, max_range=math.inf):
-    return np.array(
-        [_legacy_cast(self, origin, h, max_range) for h in headings],
-        dtype=np.float64,
-    )
-
-
-def _legacy_line_of_sight(self, a, b, slack=1e-6) -> bool:
-    dist = a.distance_to(b)
-    if dist < _EPS:
-        return True
-    hit = _legacy_cast_distance(self, a, (b - a).heading())
-    return hit is None or hit >= dist - slack
-
-
-def _legacy_tof_measure(self, caster, position, heading) -> float:
-    from repro.geometry.vec import normalize_angle
-
-    beam = normalize_angle(heading + self.mount_angle)
-    true_dist = caster.cast(position, beam, max_range=self.max_range)
-    if self._rng is None:
-        return true_dist
-    if self._rng.uniform() < self.dropout_prob:
-        return self.max_range
-    noisy = true_dist + self._rng.normal(0.0, self.noise_std)
-    return float(np.clip(noisy, 0.0, self.max_range))
-
-
-def _legacy_is_free(self, p, margin=0.0) -> bool:
-    if not self._bounds.contains(p, margin=margin):
-        return False
-    for obs in self._obstacles:
-        if obs.contains(p):
-            return False
-        if margin > 0.0 and any(
-            s.distance_to_point(p) < margin for s in obs.segments()
-        ):
-            return False
-    return True
-
-
-def _legacy_clearance(self, p) -> float:
-    if not self.is_free(p):
-        return 0.0
-    return min(s.distance_to_point(p) for s in self.all_segments())
-
-
-def _legacy_dynamics_step(self, setpoint, dt):
-    from repro.geometry.vec import normalize_angle
-
-    s = self.state
-    alpha_v = 1.0 - math.exp(-dt / self.velocity_tau)
-    alpha_w = 1.0 - math.exp(-dt / self.yaw_tau)
-    vx = s.vx_body + alpha_v * (setpoint.forward - s.vx_body)
-    vy = s.vy_body + alpha_v * (setpoint.side - s.vy_body)
-    wz = s.yaw_rate + alpha_w * (setpoint.yaw_rate - s.yaw_rate)
-
-    heading = normalize_angle(s.heading + wz * dt)
-    candidate = DroneState(
-        position=s.position,
-        heading=heading,
-        vx_body=vx,
-        vy_body=vy,
-        yaw_rate=wz,
-        time=s.time,
-    )
-    delta = candidate.velocity_world() * dt
-    new_pos, blocked = self._resolve_motion(s.position, delta)
-    if blocked:
-        self.collision_count += 1
-        vx, vy = self._body_velocity_after_contact(new_pos, s.position, heading, dt)
-    self.state = DroneState(
-        position=new_pos,
-        heading=heading,
-        vx_body=vx,
-        vy_body=vy,
-        yaw_rate=wz,
-        time=s.time + dt,
-    )
-    return self.state
-
-
-def _legacy_estimate(self) -> EstimatedState:
-    return EstimatedState(
-        position=self._position,
-        heading=self._heading,
-        vx_body=self._vx,
-        vy_body=self._vy,
-        yaw_rate=self._yaw_rate,
-        time=self._time,
-    )
-
-
-def _legacy_grid_init(self, room, cell_size=0.5, start=None):
-    # The legacy hot path is the per-sample numpy bookkeeping below; the
-    # once-per-mission reachable mask (which postdates the seed tree) is
-    # built with the current helper on both sides so legacy and
-    # optimized missions report the same normalized coverage.
-    from repro.errors import WorldError
-    from repro.world.freespace import reachable_cell_mask
-
-    if cell_size <= 0.0:
-        raise WorldError("cell size must be positive")
-    self.room = room
-    self.cell_size = cell_size
-    self.nx = int(math.ceil(room.width / cell_size))
-    self.ny = int(math.ceil(room.length / cell_size))
-    self._np_time = np.zeros((self.ny, self.nx), dtype=np.float64)
-    self._np_visited = np.zeros((self.ny, self.nx), dtype=bool)
-    if start is None:
-        self._np_reachable = np.ones((self.ny, self.nx), dtype=bool)
-        self.reachable_cells = self.nx * self.ny
-    else:
-        self._np_reachable = reachable_cell_mask(
-            room, start, cell_size, (self.ny, self.nx)
-        )
-        self.reachable_cells = int(self._np_reachable.sum())
-
-
-def _legacy_grid_record(self, p, dt) -> None:
-    ix, iy = self.cell_of(p)
-    self._np_time[iy, ix] += dt
-    self._np_visited[iy, ix] = True
-
-
-def _legacy_grid_visited_count(self) -> int:
-    return int(self._np_visited.sum())
-
-
-def _legacy_grid_visited_reachable_count(self) -> int:
-    return int((self._np_visited & self._np_reachable).sum())
-
-
-def _legacy_grid_cell_of(self, p):
-    ix = min(self.nx - 1, max(0, int(p.x / self.cell_size)))
-    iy = min(self.ny - 1, max(0, int(p.y / self.cell_size)))
-    return ix, iy
-
-
-def _legacy_tracker_init(self, room, rate_hz=50.0, cell_size=None, start=None):
-    self.rate_hz = rate_hz
-    kwargs = {} if cell_size is None else {"cell_size": cell_size}
-    self.grid = OccupancyGrid(room, start=start, **kwargs)
-    self._samples = []
-    self._period = 1.0 / rate_hz
-    self._last_time = None
-
-
-def _legacy_tracker_samples(self) -> List[TrackedSample]:
-    return list(self._samples)
-
-
-def _legacy_tracker_observe(self, state) -> bool:
-    if (
-        self._last_time is not None
-        and state.time - self._last_time < self._period - 1e-9
-    ):
-        return False
-    dt = self._period if self._last_time is not None else 0.0
-    self._last_time = state.time
-    self._samples.append(
-        TrackedSample(time=state.time, position=state.position, heading=state.heading)
-    )
-    self.grid.record(state.position, dt)
-    return True
-
-
-@contextmanager
-def legacy_sim_core():
-    """Monkeypatch the seed-tree hot-path implementations back in."""
-    saved = {
-        "cast": RayCaster.cast,
-        "cast_hit": RayCaster.cast_hit,
-        "cast_many": RayCaster.cast_many,
-        "line_of_sight": RayCaster.line_of_sight,
-        "tof_measure": ToFSensor.measure,
-        "is_free": Room.is_free,
-        "clearance": Room.clearance,
-        "dyn_step": DroneDynamics.step,
-        "estimate": StateEstimator.estimate,
-        "grid_init": OccupancyGrid.__init__,
-        "grid_cell_of": OccupancyGrid.cell_of,
-        "grid_record": OccupancyGrid.record,
-        "grid_count": OccupancyGrid.visited_count,
-        "grid_reach_count": OccupancyGrid.visited_reachable_count,
-        "tracker_init": MotionCaptureTracker.__init__,
-        "tracker_observe": MotionCaptureTracker.observe,
-        "tracker_samples": MotionCaptureTracker.samples,
-        "camera_batched": HimaxCamera.batched,
-    }
-    RayCaster.cast = _legacy_cast
-    RayCaster.cast_hit = _legacy_cast_hit
-    RayCaster.cast_many = _legacy_cast_many
-    RayCaster.line_of_sight = _legacy_line_of_sight
-    ToFSensor.measure = _legacy_tof_measure
-    Room.is_free = _legacy_is_free
-    Room.clearance = _legacy_clearance
-    DroneDynamics.step = _legacy_dynamics_step
-    StateEstimator.estimate = property(_legacy_estimate)
-    OccupancyGrid.__init__ = _legacy_grid_init
-    OccupancyGrid.cell_of = _legacy_grid_cell_of
-    OccupancyGrid.record = _legacy_grid_record
-    OccupancyGrid.visited_count = _legacy_grid_visited_count
-    OccupancyGrid.visited_reachable_count = _legacy_grid_visited_reachable_count
-    MotionCaptureTracker.__init__ = _legacy_tracker_init
-    MotionCaptureTracker.observe = _legacy_tracker_observe
-    MotionCaptureTracker.samples = property(_legacy_tracker_samples)
-    HimaxCamera.batched = False
-    try:
-        yield
-    finally:
-        RayCaster.cast = saved["cast"]
-        RayCaster.cast_hit = saved["cast_hit"]
-        RayCaster.cast_many = saved["cast_many"]
-        RayCaster.line_of_sight = saved["line_of_sight"]
-        ToFSensor.measure = saved["tof_measure"]
-        Room.is_free = saved["is_free"]
-        Room.clearance = saved["clearance"]
-        DroneDynamics.step = saved["dyn_step"]
-        StateEstimator.estimate = saved["estimate"]
-        OccupancyGrid.__init__ = saved["grid_init"]
-        OccupancyGrid.cell_of = saved["grid_cell_of"]
-        OccupancyGrid.record = saved["grid_record"]
-        OccupancyGrid.visited_count = saved["grid_count"]
-        OccupancyGrid.visited_reachable_count = saved["grid_reach_count"]
-        MotionCaptureTracker.__init__ = saved["tracker_init"]
-        MotionCaptureTracker.observe = saved["tracker_observe"]
-        MotionCaptureTracker.samples = saved["tracker_samples"]
-        HimaxCamera.batched = saved["camera_batched"]
-
-
-# --------------------------------------------------------------------------
-# Benchmark drivers.
-
-
-def build_mission(name, flight_time, batched=True, accel="auto"):
+def build_mission(name, flight_time):
     scenario = get_scenario(name)
     op = paper_operating_points()[scenario.ssd_width]
     policy = make_policy(
         scenario.policy, PolicyConfig(cruise_speed=scenario.cruise_speed)
     )
-    room = Room(
-        scenario.room.width,
-        scenario.room.length,
-        [o.build() for o in scenario.room.obstacles],
-        accel=accel,
-    )
-    config = CrazyflieConfig(noisy=scenario.noisy, batched_sensors=batched)
     return ClosedLoopMission(
-        room,
+        scenario.build_room(),
         scenario.build_objects(),
         policy,
         CalibratedDetectorModel(op),
         op,
         flight_time_s=flight_time,
         start=scenario.start_position(),
-        drone_config=config,
+        drone_config=scenario.drone_config(),
     )
 
 
@@ -382,38 +88,26 @@ def _result_fingerprint(result):
 
 
 def bench_missions(flight_time: float, repeats: int, seed: int = 7):
+    """Best-of-``repeats`` wall time of one closed-loop mission per preset."""
     rows = []
     for name in MISSION_SCENARIOS:
-        legacy_s = math.inf
-        with legacy_sim_core():
-            for _ in range(repeats):
-                mission = build_mission(
-                    name, flight_time, batched=False, accel="none"
-                )
-                start = time.perf_counter()
-                legacy_result = mission.run(seed=seed)
-                legacy_s = min(legacy_s, time.perf_counter() - start)
-        optimized_s = math.inf
+        wall_s = math.inf
+        fingerprints = []
         for _ in range(repeats):
             mission = build_mission(name, flight_time)
             start = time.perf_counter()
-            optimized_result = mission.run(seed=seed)
-            optimized_s = min(optimized_s, time.perf_counter() - start)
-        identical = _result_fingerprint(legacy_result) == _result_fingerprint(
-            optimized_result
-        )
+            result = mission.run(seed=seed)
+            wall_s = min(wall_s, time.perf_counter() - start)
+            fingerprints.append(_result_fingerprint(result))
         ticks = int(round(flight_time / 0.02))
         rows.append(
             {
                 "scenario": name,
                 "flight_time_s": flight_time,
                 "ticks": ticks,
-                "legacy_s": legacy_s,
-                "optimized_s": optimized_s,
-                "legacy_ticks_per_s": ticks / legacy_s,
-                "optimized_ticks_per_s": ticks / optimized_s,
-                "speedup": legacy_s / optimized_s,
-                "bit_identical": identical,
+                "wall_s": wall_s,
+                "ticks_per_s": ticks / wall_s,
+                "repeatable": all(f == fingerprints[0] for f in fingerprints),
             }
         )
     return rows
@@ -430,7 +124,7 @@ def _time_calls(fn, repeats, inner):
 
 
 def bench_raycast(repeats: int, inner: int = 400):
-    """Per-call latency of a 4-beam cast under each kernel."""
+    """Per-call latency of a 4-beam cast, brute-force vs. grid kernel."""
     worlds = {
         "paper-room (S=4)": get_scenario("paper-room").build_room().all_segments(),
         "dense-depot (S=84)": get_scenario("dense-depot").build_room().all_segments(),
@@ -444,15 +138,7 @@ def bench_raycast(repeats: int, inner: int = 400):
     for label, segments in worlds.items():
         brute = RayCaster(segments, accel="none")
         grid = RayCaster(segments, accel="grid")
-        legacy_us = (
-            _time_calls(
-                lambda: _legacy_cast_many(brute, origin, headings, 4.0),
-                repeats,
-                inner,
-            )
-            * 1e6
-        )
-        batched_us = (
+        brute_us = (
             _time_calls(lambda: brute.cast_many(origin, headings, 4.0), repeats, inner)
             * 1e6
         )
@@ -464,11 +150,8 @@ def bench_raycast(repeats: int, inner: int = 400):
             {
                 "world": label,
                 "n_segments": len(segments),
-                "legacy_per_ray_us": legacy_us,
-                "batched_us": batched_us,
+                "brute_us": brute_us,
                 "grid_us": grid_us,
-                "speedup_batched": legacy_us / batched_us,
-                "speedup_grid": legacy_us / grid_us,
             }
         )
     return rows
@@ -685,34 +368,27 @@ def run_benchmarks(quick: bool, out_path: str):
     print()
     print(
         ascii_table(
-            ["scenario", "legacy [s]", "optimized [s]", "speedup", "identical"],
+            ["scenario", "wall [s]", "ticks/s", "repeatable"],
             [
                 [
                     r["scenario"],
-                    f"{r['legacy_s']:.3f}",
-                    f"{r['optimized_s']:.3f}",
-                    f"{r['speedup']:.2f}x",
-                    str(r["bit_identical"]),
+                    f"{r['wall_s']:.3f}",
+                    f"{r['ticks_per_s']:.0f}",
+                    str(r["repeatable"]),
                 ]
                 for r in missions
             ],
             title=(
-                f"single-mission throughput, {flight_time:.0f} s simulated flight "
-                f"(legacy = pre-PR hot path, monkeypatched seed code)"
+                f"single-mission throughput, {flight_time:.0f} s simulated "
+                f"flight, best of {repeats}"
             ),
         )
     )
     print(
         ascii_table(
-            ["world", "legacy/ray [us]", "batched [us]", "grid [us]", "best speedup"],
+            ["world", "brute [us]", "grid [us]"],
             [
-                [
-                    r["world"],
-                    f"{r['legacy_per_ray_us']:.1f}",
-                    f"{r['batched_us']:.1f}",
-                    f"{r['grid_us']:.1f}",
-                    f"{max(r['speedup_batched'], r['speedup_grid']):.2f}x",
-                ]
+                [r["world"], f"{r['brute_us']:.1f}", f"{r['grid_us']:.1f}"]
                 for r in raycast
             ],
             title="4-beam cast latency by kernel",
@@ -780,11 +456,6 @@ def run_benchmarks(quick: bool, out_path: str):
         "created_unix": time.time(),
         "quick": quick,
         "machine": {**machine_info(), "numpy": np.__version__},
-        "baseline": (
-            "legacy = seed-tree hot-path implementations (per-beam numpy "
-            "casts, np.clip ToF noise, per-call obstacle segment rebuilds, "
-            "per-sample allocations) monkeypatched into the same process"
-        ),
         "missions": missions,
         "raycast": raycast,
         "point_queries": point_queries,
@@ -796,16 +467,10 @@ def run_benchmarks(quick: bool, out_path: str):
     print(f"\nwrote {out_path}")
 
     for r in missions:
-        assert r["bit_identical"], f"{r['scenario']}: legacy and optimized diverged"
+        assert r["repeatable"], f"{r['scenario']}: repeated flights diverged"
     for r in fleet_throughput:
         assert r["bit_identical"], f"fleet N={r['n']}: fleet and serial diverged"
-    paper = next(r for r in missions if r["scenario"] == "paper-room")
     if os.environ.get("REPRO_BENCH_RELAX") != "1":
-        bar = REQUIRED_PAPER_ROOM_SPEEDUP_QUICK if quick else REQUIRED_PAPER_ROOM_SPEEDUP
-        assert paper["speedup"] >= bar, (
-            f"paper-room speedup {paper['speedup']:.2f}x below the "
-            f"{bar:.1f}x bar (set REPRO_BENCH_RELAX=1 on loaded machines)"
-        )
         for r in point_queries:
             assert r["speedup_is_free"] >= REQUIRED_POINT_QUERY_SPEEDUP, (
                 f"{r['world']}: is_free grid speedup {r['speedup_is_free']:.2f}x "

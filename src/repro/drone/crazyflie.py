@@ -54,13 +54,6 @@ class CrazyflieConfig:
     noisy: bool = True
     velocity_tau: float = 0.25
     yaw_tau: float = 0.10
-    #: When True (default) the tick loop uses the batched sensor paths:
-    #: one kernel call for all Multi-ranger beams, one pre-drawn
-    #: standard-normal block per tick for the flow deck + gyro, and the
-    #: batched camera occlusion test. ``False`` restores the per-beam /
-    #: per-draw / per-object reference path; both produce bit-identical
-    #: missions (see tests/test_sim_core_equivalence.py).
-    batched_sensors: bool = True
 
 
 class Crazyflie:
@@ -135,7 +128,7 @@ class Crazyflie:
             velocity_noise_std=self.config.odometry_noise_std, rng=self._flow_rng
         )
         self.gyro = Gyro(noise_std=self.config.gyro_noise_std, rng=self._gyro_rng)
-        self.camera = HimaxCamera(batched=self.config.batched_sensors)
+        self.camera = HimaxCamera()
         self._dt = 1.0 / self.config.control_rate_hz
         self._tof_period = 1.0 / self.multiranger.rate_hz
         self._last_tof_time = -float("inf")
@@ -173,14 +166,9 @@ class Crazyflie:
             or now - self._last_tof_time >= self._tof_period - 1e-9
         ):
             state = self.state
-            if self.config.batched_sensors:
-                self._last_reading = self.multiranger.read_batched(
-                    self.room.raycaster, state.position, state.heading
-                )
-            else:
-                self._last_reading = self.multiranger.read(
-                    self.room.raycaster, state.position, state.heading
-                )
+            self._last_reading = self.multiranger.read_batched(
+                self.room.raycaster, state.position, state.heading
+            )
             self._last_tof_time = now
         return self._last_reading
 
@@ -190,18 +178,14 @@ class Crazyflie:
         state = self.dynamics.step(clamped, self._dt)
         flow_rng = self._flow_rng
         gyro_rng = self._gyro_rng
-        if (
-            flow_rng is not None
-            and gyro_rng is not None
-            and self.config.batched_sensors
-        ):
+        if flow_rng is not None and gyro_rng is not None:
             # One pre-drawn block per sensor stream replaces the scalar
-            # generator calls; each stream is consumed in the same order
-            # as the reference path (flow vx, vy, height; then gyro), so
-            # the tick is bit-identical. The flow/gyro noise application
-            # is inlined (normal(0, s) is s * standard_normal()
-            # internally) and the height term is never consumed by the
-            # estimator, so only its draw matters.
+            # generator calls; each stream is consumed in the order
+            # FlowDeck.read and Gyro.read draw (flow vx, vy, height;
+            # then gyro), so the tick is bit-identical to them. The
+            # noise application is inlined (normal(0, s) is
+            # s * standard_normal() internally) and the height term is
+            # never consumed by the estimator, so only its draw matters.
             zf = flow_rng.standard_normal(3).tolist()
             zg = float(gyro_rng.standard_normal())
             flow = self.flowdeck
@@ -213,9 +197,9 @@ class Crazyflie:
                 self._dt,
             )
         else:
-            odo = self.flowdeck.read(
-                state.vx_body, state.vy_body, self.camera.height_m
+            # Ideal sensors read the truth (FlowDeck.read and Gyro.read
+            # without an rng).
+            self.estimator.update_raw(
+                state.vx_body, state.vy_body, state.yaw_rate, self._dt
             )
-            gyro_rate = self.gyro.read(state.yaw_rate)
-            self.estimator.update(odo, gyro_rate, self._dt)
         return state

@@ -440,27 +440,13 @@ class RayCaster:
         loop; each entry equals ``cast(origin, heading, max_range)``
         bit-for-bit.
         """
-        return np.array(
-            self.cast_many_list(origin, headings, max_range), dtype=np.float64
-        )
-
-    def cast_many_list(
-        self, origin: Vec2, headings: Iterable[float], max_range: float = math.inf
-    ) -> List[float]:
-        """:meth:`cast_many` as a plain float list.
-
-        The Multi-ranger read consumes individual beam distances, and
-        skipping the array round-trip keeps the 20 Hz read cheap.
-        """
         hs = list(headings)
-        if not hs:
-            return []
-        dirx = [math.cos(h) for h in hs]
-        diry = [math.sin(h) for h in hs]
-        hits = self.hit_distances(origin, dirx, diry, max_range)
-        if isinstance(hits, np.ndarray):
-            hits = hits.tolist()
-        return [d if d < max_range else max_range for d in hits]
+        hits = self.hit_distances(
+            origin, [math.cos(h) for h in hs], [math.sin(h) for h in hs], max_range
+        )
+        return np.array(
+            [d if d < max_range else max_range for d in hits], dtype=np.float64
+        )
 
     def cast_fleet(
         self,

@@ -110,15 +110,7 @@ class HimaxCamera:
             QVGA sensor (a tin can at 2.2 m is ~12 px tall) and are not
             reported.
         height_m: flight (and thus camera) height over the floor.
-        batched: when False, :meth:`observe` uses the historical
-            per-object path (the reference the equivalence tests pin
-            against); ``None`` keeps the class default. Results are
-            bit-identical either way.
     """
-
-    #: Class-level default for the ``batched`` switch; benchmarks may
-    #: flip it to cover cameras constructed without an explicit choice.
-    batched = True
 
     def __init__(
         self,
@@ -126,7 +118,6 @@ class HimaxCamera:
         min_range: float = 0.3,
         max_range: float = 2.2,
         height_m: float = DEFAULT_FLIGHT_HEIGHT_M,
-        batched: Optional[bool] = None,
     ):
         if min_range < 0.0 or max_range <= min_range:
             raise SensorError("invalid camera range band")
@@ -134,8 +125,6 @@ class HimaxCamera:
         self.min_range = min_range
         self.max_range = max_range
         self.height_m = height_m
-        if batched is not None:
-            self.batched = batched
 
     def observe(
         self,
@@ -154,13 +143,6 @@ class HimaxCamera:
         frame costs a single kernel invocation instead of one cast per
         object; results are bit-identical to :meth:`observe_object`.
         """
-        if not self.batched:
-            visible = []
-            for obj in objects:
-                obs = self.observe_object(caster, position, heading, obj)
-                if obs is not None:
-                    visible.append(obs)
-            return visible
         half_fov = self.intrinsics.hfov_rad / 2.0
         candidates = []
         for obj in objects:

@@ -10,7 +10,7 @@ have to live with (none of them relies on absolute position).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -83,39 +83,20 @@ class FlowDeck:
         else:
             self.scale = 1.0 + rng.normal(0.0, scale_error)
 
-    def read(
-        self,
-        vx_body: float,
-        vy_body: float,
-        height: float,
-        z: Optional[Sequence[float]] = None,
-    ) -> OdometrySample:
+    def read(self, vx_body: float, vy_body: float, height: float) -> OdometrySample:
         """Measure the true body-frame velocity and height.
 
         Args:
             vx_body: true forward velocity, m/s.
             vy_body: true left velocity, m/s.
             height: true height over ground, m.
-            z: optional three pre-drawn standard normals (vx, vy, height)
-                from the deck's stream. Passing a block avoids three
-                scalar generator calls per control tick while consuming
-                the bit stream in exactly the same order, so readings are
-                bit-identical either way.
         """
         if self._rng is None:
             return OdometrySample(vx_body, vy_body, height)
-        if z is None:
-            return OdometrySample(
-                vx=self.scale * vx_body
-                + self._rng.normal(0.0, self.velocity_noise_std),
-                vy=self.scale * vy_body
-                + self._rng.normal(0.0, self.velocity_noise_std),
-                height=height + self._rng.normal(0.0, self.height_noise_std),
-            )
-        # normal(0, s) is 0.0 + s * standard_normal() internally, so
-        # scaling the pre-drawn block reproduces the scalar draws.
         return OdometrySample(
-            vx=self.scale * vx_body + self.velocity_noise_std * float(z[0]),
-            vy=self.scale * vy_body + self.velocity_noise_std * float(z[1]),
-            height=height + self.height_noise_std * float(z[2]),
+            vx=self.scale * vx_body
+            + self._rng.normal(0.0, self.velocity_noise_std),
+            vy=self.scale * vy_body
+            + self._rng.normal(0.0, self.velocity_noise_std),
+            height=height + self._rng.normal(0.0, self.height_noise_std),
         )

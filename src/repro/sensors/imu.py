@@ -35,17 +35,8 @@ class Gyro:
         self.noise_std = noise_std
         self.bias = 0.0 if rng is None else float(rng.normal(0.0, bias_std))
 
-    def read(self, true_yaw_rate: float, z: Optional[float] = None) -> float:
-        """Measure the true yaw rate (rad/s).
-
-        Args:
-            true_yaw_rate: ground-truth yaw rate.
-            z: optional pre-drawn standard normal from the gyro's stream;
-                scaling it reproduces the scalar ``normal(0, std)`` draw
-                bit-for-bit (see :meth:`FlowDeck.read`).
-        """
+    def read(self, true_yaw_rate: float) -> float:
+        """Measure the true yaw rate (rad/s)."""
         if self._rng is None:
             return true_yaw_rate
-        if z is None:
-            return true_yaw_rate + self.bias + self._rng.normal(0.0, self.noise_std)
-        return true_yaw_rate + self.bias + self.noise_std * float(z)
+        return true_yaw_rate + self.bias + self._rng.normal(0.0, self.noise_std)

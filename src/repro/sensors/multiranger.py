@@ -156,7 +156,7 @@ class MultiRangerDeck:
         """Sample all beams through one batched cast.
 
         Bit-identical to :meth:`read`: the four horizontal beams go
-        through a single ``cast_many`` kernel call (whose entries equal
+        through a single ``hit_distances`` kernel call (whose entries equal
         the per-beam ``cast`` results exactly) and the noise blocks are
         drawn and applied exactly as in the reference path.
         """

@@ -180,7 +180,7 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
     channels: List[CalibratedDetectorModel] = []
     frame_periods: List[float] = []
     objects = scenario.build_objects() if kind == "search" else []
-    camera = HimaxCamera(batched=config.batched_sensors)
+    camera = HimaxCamera()
     scale = np.ones(n, dtype=np.float64)
     bias = np.zeros(n, dtype=np.float64)
     flow_z = np.empty((n, n_max, 3), dtype=np.float64) if noisy else None

@@ -337,9 +337,9 @@ def run_campaign(
         counters).
 
     Raises:
-        ExecError: for a negative ``workers`` count, ``fleet_block``
-            combined with ``record``, a broker or a pool, or a failed
-            mission without ``keep_going``.
+        ExecError: for a negative ``workers`` count, a ``fleet_block``
+            below 1, ``fleet_block`` combined with ``record``, a broker
+            or a pool, or a failed mission without ``keep_going``.
 
     Example:
         >>> from repro.sim import Campaign, get_scenario, run_campaign
@@ -357,6 +357,8 @@ def run_campaign(
         >>> result.execution.executed
         1
     """
+    if fleet_block is not None and fleet_block < 1:
+        raise ExecError(f"fleet_block must be >= 1, got {fleet_block}")
     batched = fleet_block is not None and fleet_block > 1
     if batched:
         clash = (

@@ -139,6 +139,13 @@ class TestRun:
         assert main(["run", "--scenario", "narnia"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
 
+    def test_fleet_block_below_one_is_an_error(self, capsys):
+        argv = ["run", "--scenario", "paper-room", "--runs", "1",
+                "--flight-time", "2", "--no-cache", "--quiet",
+                "--fleet-block", "-5"]
+        assert main(argv) == 2
+        assert "fleet_block must be >= 1, got -5" in capsys.readouterr().err
+
     def test_family_campaign(self, tmp_path, capsys):
         out_dir = str(tmp_path / "results")
         argv = [

@@ -1,10 +1,14 @@
-"""Batched simulation core vs. the scalar reference path.
+"""The simulation core's fast paths vs. their references.
 
-The vectorized tick loop (batched Multi-ranger casts, block noise draws,
-batched camera occlusion, grid-accelerated raycasting, vectorized
-free-space queries) must be *bit-identical* to the per-beam / per-draw /
-per-object reference path it replaced: same RNG stream consumption, same
-IEEE arithmetic, same trajectories, detections and coverage.
+The tick loop runs one sensor path: batched Multi-ranger casts, block
+noise draws, batched camera occlusion, grid-accelerated raycasting and
+vectorized free-space queries. Each must be *bit-identical* to the
+per-item reference it replaced -- same RNG stream consumption, same IEEE
+arithmetic -- so these tests pin every fast path against its reference
+directly: ``accel="none"`` against ``accel="auto"`` at mission level,
+and ``MultiRangerDeck.read``, ``HimaxCamera.observe_object`` and
+``FlowDeck.read``/``Gyro.read``/``StateEstimator.update`` against the
+methods the tick loop calls.
 """
 
 import math
@@ -12,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.drone.controller import SetPoint
 from repro.drone.crazyflie import Crazyflie, CrazyflieConfig
 from repro.mapping.coverage import CoverageSeries
 from repro.mapping.mocap import MotionCaptureTracker
@@ -24,13 +29,14 @@ from repro.mission.detector_model import (
 )
 from repro.policies import PolicyConfig
 from repro.policies.registry import make_policy
-from repro.sensors.camera import CameraIntrinsics
+from repro.sensors.camera import CameraIntrinsics, HimaxCamera
+from repro.sensors.multiranger import MultiRangerDeck
 from repro.sim import get_scenario
 from repro.world.room import Room
 from repro.geometry.vec import Vec2
 
 
-def build_mission(name, flight_time=12.0, batched=True, accel="auto", op=None):
+def build_mission(name, flight_time=12.0, accel="auto", op=None):
     scenario = get_scenario(name)
     op = op or paper_operating_points()[scenario.ssd_width]
     policy = make_policy(
@@ -42,7 +48,6 @@ def build_mission(name, flight_time=12.0, batched=True, accel="auto", op=None):
         [o.build() for o in scenario.room.obstacles],
         accel=accel,
     )
-    config = CrazyflieConfig(noisy=scenario.noisy, batched_sensors=batched)
     return ClosedLoopMission(
         room,
         scenario.build_objects(),
@@ -51,7 +56,7 @@ def build_mission(name, flight_time=12.0, batched=True, accel="auto", op=None):
         op,
         flight_time_s=flight_time,
         start=scenario.start_position(),
-        drone_config=config,
+        drone_config=CrazyflieConfig(noisy=scenario.noisy),
     )
 
 
@@ -68,50 +73,96 @@ def assert_results_identical(a, b):
     ]
 
 
+def random_poses(room, n, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            Vec2(rng.uniform(0.0, room.width), rng.uniform(0.0, room.length)),
+            rng.uniform(-math.pi, math.pi),
+        )
+        for _ in range(n)
+    ]
+
+
 class TestMissionBitIdentity:
     @pytest.mark.parametrize(
         "scenario", ["paper-room", "dense-depot", "apartment", "corridor-maze"]
     )
-    def test_batched_equals_reference(self, scenario):
-        reference = build_mission(scenario, batched=False, accel="none").run(seed=7)
-        batched = build_mission(scenario, batched=True, accel="auto").run(seed=7)
-        assert_results_identical(reference, batched)
+    def test_accel_none_equals_auto(self, scenario):
+        reference = build_mission(scenario, accel="none").run(seed=7)
+        accelerated = build_mission(scenario, accel="auto").run(seed=7)
+        assert_results_identical(reference, accelerated)
 
-    def test_batched_equals_reference_noise_free(self):
-        scenario = get_scenario("paper-room")
-        op = paper_operating_points()["1.0"]
-        results = []
-        for batched in (False, True):
-            policy = make_policy(scenario.policy, PolicyConfig(cruise_speed=0.5))
-            config = CrazyflieConfig(noisy=False, batched_sensors=batched)
-            results.append(
-                ClosedLoopMission(
-                    scenario.build_room(),
-                    scenario.build_objects(),
-                    policy,
-                    CalibratedDetectorModel(op),
-                    op,
-                    flight_time_s=10.0,
-                    drone_config=config,
-                ).run(seed=3)
-            )
-        assert_results_identical(results[0], results[1])
 
-    def test_ranger_reading_bit_identical(self):
-        room = get_scenario("dense-depot").build_room()
-        readings = []
-        for batched in (False, True):
-            drone = Crazyflie(
-                room,
-                start=Vec2(1.0, 1.0),
-                config=CrazyflieConfig(batched_sensors=batched),
-                seed=42,
+class TestSensorReferences:
+    """Each tick-loop sensor method against its per-item reference."""
+
+    def test_ranger_read_equals_read_batched(self):
+        def deck():
+            # Same seeds on both twins; dropout and noise high enough
+            # that both branches of the noise model fire often.
+            return MultiRangerDeck(
+                noise_std=0.05,
+                dropout_prob=0.1,
+                rng=np.random.default_rng(5),
+                noise_rng=np.random.default_rng(6),
             )
-            reading = drone.read_ranger()
-            readings.append(
-                (reading.front, reading.back, reading.left, reading.right, reading.up)
+
+        for name in ("paper-room", "dense-depot", "corridor-maze"):
+            room = get_scenario(name).build_room()
+            reference, batched = deck(), deck()
+            for position, heading in random_poses(room, 300, seed=9):
+                a = reference.read(room.raycaster, position, heading)
+                b = batched.read_batched(room.raycaster, position, heading)
+                assert [v.hex() for v in a.as_dict().values()] == [
+                    v.hex() for v in b.as_dict().values()
+                ], (name, position, heading)
+
+    def test_camera_observe_equals_observe_object(self):
+        # Worlds with interior walls, so some in-view objects are
+        # occluded; corridor-maze casts brute-force, dense-depot on the grid.
+        camera = HimaxCamera()
+        for name in ("corridor-maze", "dense-depot"):
+            scenario = get_scenario(name)
+            room = scenario.build_room()
+            objects = scenario.build_objects()
+            seen = 0
+            for position, heading in random_poses(room, 400, seed=4):
+                observed = camera.observe(room.raycaster, position, heading, objects)
+                reference = [
+                    obs
+                    for obs in (
+                        camera.observe_object(room.raycaster, position, heading, obj)
+                        for obj in objects
+                    )
+                    if obs is not None
+                ]
+                assert observed == reference, (name, position, heading)
+                seen += len(observed)
+            assert seen > 0, name
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
+    def test_step_equals_reference_sensors(self, noisy):
+        room = get_scenario("paper-room").build_room()
+        config = CrazyflieConfig(noisy=noisy)
+        drone = Crazyflie(room, config=config, seed=42)
+        twin = Crazyflie(room, config=config, seed=42)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            setpoint = SetPoint(
+                forward=rng.uniform(-0.5, 1.0),
+                side=rng.uniform(-0.3, 0.3),
+                yaw_rate=rng.uniform(-2.0, 2.0),
             )
-        assert readings[0] == readings[1]
+            drone.step(setpoint)
+            state = twin.dynamics.step(twin.controller.clamp(setpoint), twin.dt)
+            odometry = twin.flowdeck.read(
+                state.vx_body, state.vy_body, twin.camera.height_m
+            )
+            rate = twin.gyro.read(state.yaw_rate)
+            twin.estimator.update(odometry, rate, twin.dt)
+            assert drone.state == twin.state
+            assert drone.estimated_state == twin.estimated_state
 
 
 class TestFramePacing:
@@ -192,8 +243,6 @@ class TestLeanStateTracking:
         room = get_scenario("paper-room").build_room()
         tracker = MotionCaptureTracker(room)
         drone = Crazyflie(room, config=CrazyflieConfig(noisy=False))
-        from repro.drone.controller import SetPoint
-
         for _ in range(25):
             state = drone.step(SetPoint(forward=0.4))
             tracker.observe(state)

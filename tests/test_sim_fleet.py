@@ -4,12 +4,15 @@ The fleet stepper's whole contract is that it is *invisible* in the
 results: ``fly_fleet(specs)`` must return records bit-identical to
 ``fly_mission(spec)`` for every member, on every world. These tests pin
 that contract across all preset scenarios, all generated families, both
-mission kinds, mixed per-mission configurations (policies, speeds, SSD
-widths, flight times), and the degenerate N=1 block -- plus the
+mission kinds, noisy and noise-free sensors, mixed per-mission
+configurations (policies, speeds, SSD widths, flight times), and the
+degenerate N=1 block -- plus the
 execution-layer wiring (``run_campaign(fleet_block=)``) and the
 one-time ``MISSION_JOB_VERSION`` bump that re-keyed the mission cache
 when per-sensor seed streams landed.
 """
+
+import dataclasses
 
 import pytest
 
@@ -54,10 +57,18 @@ def _assert_fleet_matches_serial(specs):
         )
 
 
-@pytest.mark.parametrize("name", scenario_names())
-def test_fleet_matches_serial_on_every_preset(name):
-    scenario = get_scenario(name)
-    _assert_fleet_matches_serial(_specs(scenario, "explore", 3))
+@pytest.mark.parametrize(
+    "name, kind, noisy",
+    [pytest.param(name, "explore", True, id=name) for name in scenario_names()]
+    + [
+        pytest.param(name, kind, False, id=f"{name}-{kind}-noise-free")
+        for name in ("paper-room", "dense-depot")
+        for kind in ("explore", "search")
+    ],
+)
+def test_fleet_matches_serial_on_every_preset(name, kind, noisy):
+    scenario = dataclasses.replace(get_scenario(name), noisy=noisy)
+    _assert_fleet_matches_serial(_specs(scenario, kind, 4))
 
 
 @pytest.mark.parametrize(
@@ -194,6 +205,13 @@ def test_run_campaign_fleet_block_rejects_other_paths(tmp_path, clash):
             run_campaign(_campaign(), fleet_block=4, **kwargs)
 
 
+@pytest.mark.parametrize("fleet_block", [0, -3])
+def test_run_campaign_rejects_fleet_block_below_one(fleet_block):
+    """A non-positive block size is an error, not a silent serial run."""
+    with pytest.raises(ExecError, match=f"must be >= 1, got {fleet_block}"):
+        run_campaign(_campaign(), fleet_block=fleet_block)
+
+
 def test_run_campaign_fleet_shares_cache_with_serial(tmp_path):
     """Fleet-written cache entries are ordinary per-mission entries."""
     campaign = _campaign()
@@ -232,8 +250,6 @@ def test_mission_job_version_bumped_exactly_once():
 
 def test_old_cache_entries_are_clean_misses(tmp_path):
     """Pre-bump entries neither serve nor poison the re-keyed jobs."""
-    import dataclasses
-
     spec = _specs(get_scenario("paper-room"), "explore", 1)[0]
     job = mission_job(spec)
     assert job.version == schemas.MISSION_JOB_VERSION
