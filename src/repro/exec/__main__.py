@@ -44,7 +44,7 @@ from repro.exec.queue import DEFAULT_MAX_RECLAIMS
 def _cmd_worker(args: argparse.Namespace) -> int:
     cache = open_cache(args.cache_dir, enabled=not args.no_cache)
     retry = RetryPolicy(
-        max_attempts=1, backoff_s=args.backoff, timeout_s=args.timeout
+        max_attempts=1, backoff_s=args.retry_backoff, timeout_s=args.timeout
     )
     with Broker(args.broker) as broker:
         worker = Worker(
@@ -217,7 +217,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "transient and requeued while attempts remain)",
     )
     worker.add_argument(
-        "--backoff", type=float, default=0.0, metavar="S",
+        "--retry-backoff", type=float, default=0.0, metavar="S",
         help="base requeue delay after a transient failure, doubling per "
         "completed attempt (deterministic)",
     )

@@ -36,6 +36,7 @@ import pickle
 import queue
 import threading
 import time
+import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
@@ -426,8 +427,10 @@ class Executor:
     Args:
         workers: ``None``/``1`` for the serial path, ``0`` for one
             worker per CPU core, otherwise the pool size. If no pool
-            can be created (restricted environments), execution falls
-            back to the serial path -- results are identical either way.
+            worker can be started (restricted environments), or every
+            worker dies and none can be replaced, the remaining jobs run
+            on the serial path with a :class:`RuntimeWarning` naming
+            the requested count -- results are identical either way.
         cache: optional persistent result cache consulted before (and
             filled after) every execution; ``None`` disables caching.
         retry: per-job attempt/backoff/timeout policy; ``None`` means
@@ -629,7 +632,16 @@ class Executor:
             pooled = self._execute_pooled(items, min(self.workers, len(items)))
             if pooled is not None:
                 return pooled
+            self._warn_serial_fallback("no pool worker could be started", len(items))
         return (self._serial_outcome(_Task(index, job)) for index, job in items)
+
+    def _warn_serial_fallback(self, why: str, n_jobs: int) -> None:
+        """Say loudly that a requested pool is not running these jobs."""
+        warnings.warn(
+            f"workers={self.workers}: {why}; running {n_jobs} jobs serially "
+            "in this process (results are identical)",
+            RuntimeWarning,
+        )
 
     # -- batched path -----------------------------------------------------
 
@@ -868,6 +880,10 @@ class Executor:
                     ] + list(pending)
                     delayed.clear()
                     pending.clear()
+                    self._warn_serial_fallback(
+                        "every pool worker died and none could be restarted",
+                        len(leftovers),
+                    )
                     for task in leftovers:
                         outstanding -= 1
                         yield self._serial_outcome(task)

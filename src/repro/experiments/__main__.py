@@ -20,6 +20,7 @@ import argparse
 import sys
 import time
 
+from repro.errors import ExecError, ObsError, SimError
 from repro.exec import Broker, RetryPolicy, open_cache
 from repro.experiments import FULL_SCALE, SMOKE_SCALE
 from repro.experiments import fig3, fig5, fig6, table1, table2, table3, table4
@@ -166,6 +167,15 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in _EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
+    try:
+        return _run(names, args)
+    except (ExecError, ObsError, SimError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(names, args) -> int:
+    """Run and print each experiment of ``names``, in order."""
     scale = FULL_SCALE if args.full else SMOKE_SCALE
     cache = open_cache(args.cache_dir, enabled=not args.no_cache)
     retry = RetryPolicy(max_attempts=args.retries, timeout_s=args.timeout)
@@ -178,28 +188,30 @@ def main(argv=None) -> int:
                 f"{', '.join(unsharded)} run in-process",
                 file=sys.stderr,
             )
-    for name in names:
-        start = time.time()
-        hits = cache.hits if cache else 0
-        misses = cache.misses if cache else 0
-        line = ProgressLine(name) if args.progress else None
-        try:
-            output = _EXPERIMENTS[name](
-                scale, args.workers, cache, line, retry, args.keep_going,
-                broker if name in _BROKER_AWARE else None,
-            )
-        finally:
-            if line is not None:
-                line.finish()
-        print(f"\n===== {name} ({time.time() - start:.0f}s) =====")
-        print(output)
-        if cache is not None:
-            print(
-                f"[cache: {cache.hits - hits} hits, "
-                f"{cache.misses - misses} misses ({cache.directory})]"
-            )
-    if broker is not None:
-        broker.close()
+    try:
+        for name in names:
+            start = time.time()
+            hits = cache.hits if cache else 0
+            misses = cache.misses if cache else 0
+            line = ProgressLine(name) if args.progress else None
+            try:
+                output = _EXPERIMENTS[name](
+                    scale, args.workers, cache, line, retry, args.keep_going,
+                    broker if name in _BROKER_AWARE else None,
+                )
+            finally:
+                if line is not None:
+                    line.finish()
+            print(f"\n===== {name} ({time.time() - start:.0f}s) =====")
+            print(output)
+            if cache is not None:
+                print(
+                    f"[cache: {cache.hits - hits} hits, "
+                    f"{cache.misses - misses} misses ({cache.directory})]"
+                )
+    finally:
+        if broker is not None:
+            broker.close()
     return 0
 
 

@@ -9,8 +9,8 @@ hooks for camera frames, detections and coverage samples. The hot path
 is deliberately minimal -- :meth:`FlightRecorder.tick` appends a single
 row tuple, and nothing is transposed or copied until
 :meth:`FlightRecorder.finish` -- so that recording stays a few percent
-of a mission's wall clock (``benchmarks/bench_campaign_throughput.py``
-asserts the ceiling).
+of a mission's wall clock (the ``record_overhead`` section of
+``benchmarks/bench_sim_core.py`` asserts the ceiling).
 
 Phase timing uses :func:`time.perf_counter` -- wall clock, stored in
 the trace's ``timings`` section only, which the replay bit-identity

@@ -268,8 +268,9 @@ def run_campaign(
         campaign: the sweep to run.
         workers: ``None``/``1`` for the serial path, ``0`` for one worker
             per CPU core, otherwise the pool size. If the pool cannot be
-            created (restricted environments), execution silently falls
-            back to the serial path -- results are identical either way.
+            started (restricted environments), the missions fly on the
+            serial path with a :class:`RuntimeWarning` naming the
+            requested count -- results are identical either way.
         progress: optional callback invoked after each finished mission
             with ``(done, total, record)``. Runs in the parent process;
             cache hits are reported first (in mission order), then

@@ -393,7 +393,8 @@ class TestPoolFallback:
 
         monkeypatch.setattr(multiprocessing, "Process", refuse)
         executor = Executor(workers=4)
-        assert executor.run([sum_job(i) for i in range(3)]) == [2.0, 4.0, 6.0]
+        with pytest.warns(RuntimeWarning, match="workers=4: no pool worker"):
+            assert executor.run([sum_job(i) for i in range(3)]) == [2.0, 4.0, 6.0]
         assert executor.last_report.executed == 3
 
     def test_fallback_preserves_retry_semantics(self, monkeypatch):
@@ -404,8 +405,30 @@ class TestPoolFallback:
         plan = FaultPlan((FaultSpec(kind="raise", attempt=0),))
         executor = Executor(workers=4, retry=RetryPolicy(max_attempts=2))
         with faults.injected(plan):
-            assert executor.run([sum_job(i) for i in range(3)]) == [2.0, 4.0, 6.0]
+            with pytest.warns(RuntimeWarning, match="workers=4: no pool worker"):
+                assert executor.run([sum_job(i) for i in range(3)]) == [2.0, 4.0, 6.0]
         assert executor.last_report.retried == 3
+
+    def test_losing_every_worker_drains_serially_with_a_warning(self, monkeypatch):
+        # One worker starts, crashes on its first job, and no replacement
+        # can be started: the supervisor finishes the batch in-process.
+        start_worker = Executor._start_worker
+        started = []
+
+        def start_only_one(worker_id, result_q):
+            if started:
+                return None
+            started.append(worker_id)
+            return start_worker(worker_id, result_q)
+
+        monkeypatch.setattr(Executor, "_start_worker", staticmethod(start_only_one))
+        plan = FaultPlan((FaultSpec(kind="crash", attempt=0),))
+        executor = Executor(workers=2, retry=RetryPolicy(max_attempts=2))
+        with faults.injected(plan):
+            with pytest.warns(RuntimeWarning, match="workers=2: every pool worker died"):
+                assert executor.run([sum_job(i) for i in range(3)]) == [2.0, 4.0, 6.0]
+        assert started == [0]
+        assert executor.last_report.failed == 0
 
 
 class TestWorkersInheritEnvPlan:

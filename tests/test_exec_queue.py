@@ -152,6 +152,21 @@ class TestBrokerLifecycle:
         assert row["jobs_done"] == 1
         assert row["last_seen"] == 61.0
 
+    def test_lease_complete_cycles_take_milliseconds_not_seconds(self, broker):
+        # Each cycle is two BEGIN IMMEDIATE transactions plus a
+        # lease-audit insert. A shared 2-vCPU VM runs about 4,300 a
+        # second, so the floor only trips on seconds-per-job slowness.
+        broker.submit([sum_job(i) for i in range(50)])
+        start = time.perf_counter()
+        while True:
+            lease = broker.lease("w1")
+            if lease is None:
+                break
+            broker.complete("w1", lease.content_hash, lease.job.run())
+        cycle_s = time.perf_counter() - start
+        assert broker.counts().done == 50
+        assert 50 / cycle_s > 5.0
+
 
 class TestLeaseStateMachine:
     def test_expired_lease_is_reclaimed_by_next_lease_call(self, broker):
@@ -297,6 +312,25 @@ class TestLeaseStateMachine:
 
 
 class TestWorkerLoop:
+    def test_cli_spells_the_backoff_flag_retry_backoff(self, broker, monkeypatch):
+        import repro.exec.__main__ as cli
+
+        policies = []
+
+        class RecordingWorker(Worker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                policies.append(self.retry)
+
+        monkeypatch.setattr(cli, "Worker", RecordingWorker)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        argv = ["worker", "--broker", broker.path, "--no-cache", "--exit-when-drained"]
+        assert cli.main([*argv, "--retry-backoff", "0.5"]) == 0
+        assert [p.backoff_s for p in policies] == [0.5]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--backoff", "0.5"])
+        assert exc.value.code == 2
+
     def test_worker_drains_queue_in_process(self, broker, tmp_path):
         jobs = [echo_job(f"t{i}", str(tmp_path / "markers")) for i in range(5)]
         broker.submit(jobs)

@@ -124,3 +124,15 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["table9"])
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--retries", "0"), ("--workers", "-1"), ("--timeout", "0")]
+    )
+    def test_bad_execution_setting_is_an_error_not_a_traceback(
+        self, capsys, flag, value
+    ):
+        from repro.experiments.__main__ import main
+
+        assert main(["table4", "--no-cache", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err

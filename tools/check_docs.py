@@ -4,7 +4,9 @@ Two checks, both fatal on failure:
 
 1. Every relative link/image in the repo's markdown files (root + docs/)
    points at an existing file, and every ``file.md#anchor`` link targets
-   a heading that actually exists (GitHub-style slugs).
+   a heading that actually exists (GitHub-style slugs). Inline-code
+   repository paths (``src/...``, ``tests/...::test_name`` and the like)
+   in README.md and docs/ must exist too.
 2. The runnable examples embedded in the public ``repro.sim`` API
    docstrings pass under :mod:`doctest`.
 3. Interactive (``>>>``) examples inside ``python`` code fences in the
@@ -30,6 +32,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Markdown files checked for dead links.
 MARKDOWN_GLOBS = ("*.md", "docs/*.md")
 
+#: Markdown files whose inline-code repository paths must exist: the
+#: user-facing docs. The change log and plans name files that later
+#: changes removed, and the reference notes quote other repositories.
+CODE_PATH_GLOBS = ("README.md", "docs/*.md")
+
 #: Modules whose docstring examples are executed.
 DOCTEST_MODULES = (
     "repro.exec.cache",
@@ -52,6 +59,12 @@ DOCTEST_MODULES = (
 )
 
 _LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
+#: An inline-code span holding a repository path, minus any
+#: ``::test`` suffix.
+_CODE_PATH_RE = re.compile(
+    r"`((?:src|tests|benchmarks|tools|examples|docs|perfbench)/[^`\s:]*)"
+    r"(?:::[\w\[\]:.-]+)?`"
+)
 _HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 
 
@@ -72,6 +85,7 @@ def check_markdown_links() -> List[str]:
     files = sorted(
         {f for pattern in MARKDOWN_GLOBS for f in REPO_ROOT.glob(pattern)}
     )
+    user_docs = {f for pattern in CODE_PATH_GLOBS for f in REPO_ROOT.glob(pattern)}
     for md in files:
         text = md.read_text(encoding="utf-8")
         rel = md.relative_to(REPO_ROOT)
@@ -90,6 +104,11 @@ def check_markdown_links() -> List[str]:
             if anchor and resolved.suffix == ".md":
                 if _slugify(anchor) not in _anchors_of(resolved):
                     errors.append(f"{rel}: broken anchor {target}")
+        if md not in user_docs:
+            continue
+        for path in _CODE_PATH_RE.findall(text):
+            if not (REPO_ROOT / path).exists():
+                errors.append(f"{rel}: `{path}` does not exist")
     return errors
 
 
