@@ -1,8 +1,20 @@
 """Standard and depthwise 2-D convolutions with backprop.
 
 MobileNetV2 only needs these two flavours: dense convolutions (the stem
-and every 1x1 pointwise conv) and 3x3 depthwise convolutions. Both use
-im2col so the inner loop is a single matmul.
+and every 1x1 pointwise conv) and 3x3 depthwise convolutions.
+
+- A 1x1, stride-1, unpadded :class:`Conv2d` (every pointwise conv) is one
+  batched ``matmul`` over its input viewed as ``(N, C, H*W)``, forward and
+  backward. It keeps that view for the backward pass, so a caller must
+  not modify the input in place between the two.
+- Any other :class:`Conv2d` (the 3x3 stride-2 stem) unfolds its input with
+  :func:`~repro.nn.functional.im2col`, multiplies with ``matmul`` and folds
+  the input gradient back with :func:`~repro.nn.functional.col2im`.
+- :class:`DepthwiseConv2d` accumulates k x k shifted slices of its padded
+  input, one kernel tap at a time, so no column copy is made.
+
+Layers compute in their input's dtype (promoted with the float64
+weights) and modify in place only arrays they allocated.
 """
 
 from __future__ import annotations
@@ -12,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.nn.functional import col2im, im2col
+from repro.nn.functional import col2im, conv_output_size, im2col
 from repro.seeding import DEFAULT_INIT_SEED
 from repro.nn.module import Module, Parameter
 
@@ -67,17 +79,25 @@ class Conv2d(Module):
         k = self.kernel_size
         return self.out_channels * self.in_channels * k * k * out_h * out_w
 
+    @property
+    def pointwise(self) -> bool:
+        """True for a 1x1, stride-1, unpadded conv: a matmul over channels."""
+        return self.kernel_size == 1 and self.stride == 1 and self.padding == 0
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ShapeError(
                 f"Conv2d expects (N, {self.in_channels}, H, W), got {x.shape}"
             )
         k, s, p = self.kernel_size, self.stride, self.padding
-        cols, out_h, out_w = im2col(x, k, k, s, p)
         n = x.shape[0]
-        flat = cols.reshape(n, self.in_channels * k * k, out_h * out_w)
-        w2d = self.weight.data.reshape(self.out_channels, -1)
-        out = np.einsum("oc,ncl->nol", w2d, flat, optimize=True)
+        if self.pointwise:
+            out_h, out_w = x.shape[2], x.shape[3]
+            flat = x.reshape(n, self.in_channels, out_h * out_w)
+        else:
+            cols, out_h, out_w = im2col(x, k, k, s, p)
+            flat = cols.reshape(n, self.in_channels * k * k, out_h * out_w)
+        out = np.matmul(self.weight.data.reshape(self.out_channels, -1), flat)
         if self.bias is not None:
             out += self.bias.data[None, :, None]
         self._cache = (x.shape, flat)
@@ -90,16 +110,16 @@ class Conv2d(Module):
         n, _, out_h, out_w = grad_out.shape
         g = grad_out.reshape(n, self.out_channels, out_h * out_w)
         w2d = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += np.einsum("nol,ncl->oc", g, flat, optimize=True).reshape(
-            self.weight.data.shape
+        self.weight.grad += (
+            np.matmul(g, flat.transpose(0, 2, 1)).sum(axis=0).reshape(self.weight.data.shape)
         )
         if self.bias is not None:
             self.bias.grad += g.sum(axis=(0, 2))
-        grad_cols = np.einsum("oc,nol->ncl", w2d, g, optimize=True)
+        grad_flat = np.matmul(w2d.T, g)
+        if self.pointwise:
+            return grad_flat.reshape(x_shape)
         k = self.kernel_size
-        grad_cols = grad_cols.reshape(
-            n, self.in_channels, k, k, out_h, out_w
-        )
+        grad_cols = grad_flat.reshape(n, self.in_channels, k, k, out_h, out_w)
         return col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
 
 
@@ -144,35 +164,51 @@ class DepthwiseConv2d(Module):
         k = self.kernel_size
         return self.channels * k * k * out_h * out_w
 
+    def _windows(self, out_h: int, out_w: int):
+        """Yield ``(i, j, index)``: the padded-input slice kernel tap (i, j) reads."""
+        k, s = self.kernel_size, self.stride
+        for i in range(k):
+            for j in range(k):
+                yield i, j, np.s_[:, :, i : i + s * out_h : s, j : j + s * out_w : s]
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
             raise ShapeError(
                 f"DepthwiseConv2d expects (N, {self.channels}, H, W), got {x.shape}"
             )
         k, s, p = self.kernel_size, self.stride, self.padding
-        cols, out_h, out_w = im2col(x, k, k, s, p)
-        # cols: (N, C, k, k, out_h, out_w); weight: (C, k, k)
-        flat = cols.reshape(x.shape[0], self.channels, k * k, out_h * out_w)
-        wflat = self.weight.data.reshape(self.channels, k * k)
-        out = np.einsum("nckl,ck->ncl", flat, wflat, optimize=True)
+        n, c, h, w = x.shape
+        out_h = conv_output_size(h, k, s, p)
+        out_w = conv_output_size(w, k, s, p)
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
+        wt = self.weight.data
+        windows = self._windows(out_h, out_w)
+        i, j, window = next(windows)
+        out = np.multiply(xp[window], wt[:, i, j, None, None])
+        term = np.empty_like(out)
+        for i, j, window in windows:
+            np.multiply(xp[window], wt[:, i, j, None, None], out=term)
+            out += term
         if self.bias is not None:
-            out += self.bias.data[None, :, None]
-        self._cache = (x.shape, flat)
-        return out.reshape(x.shape[0], self.channels, out_h, out_w)
+            out += self.bias.data[None, :, None, None]
+        self._cache = (x.shape, xp)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ShapeError("backward called before forward")
-        x_shape, flat = self._cache
-        n, _, out_h, out_w = grad_out.shape
-        k = self.kernel_size
-        g = grad_out.reshape(n, self.channels, out_h * out_w)
-        wflat = self.weight.data.reshape(self.channels, k * k)
-        self.weight.grad += np.einsum("nckl,ncl->ck", flat, g, optimize=True).reshape(
-            self.weight.data.shape
-        )
+        (_, _, h, w), xp = self._cache
+        out_h, out_w = grad_out.shape[2], grad_out.shape[3]
+        p = self.padding
+        wt = self.weight.data
+        dtype = np.result_type(grad_out, wt)
+        grad_xp = np.zeros(xp.shape, dtype=dtype)
+        term = np.empty(grad_out.shape, dtype=dtype)
+        for i, j, window in self._windows(out_h, out_w):
+            self.weight.grad[:, i, j] += np.einsum("nchw,nchw->c", grad_out, xp[window])
+            np.multiply(grad_out, wt[:, i, j, None, None], out=term)
+            grad_xp[window] += term
         if self.bias is not None:
-            self.bias.grad += g.sum(axis=(0, 2))
-        grad_cols = np.einsum("ck,ncl->nckl", wflat, g, optimize=True)
-        grad_cols = grad_cols.reshape(n, self.channels, k, k, out_h, out_w)
-        return col2im(grad_cols, x_shape, k, k, self.stride, self.padding)
+            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
+        return grad_xp[:, :, p : p + h, p : p + w]

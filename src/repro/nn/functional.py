@@ -1,7 +1,11 @@
 """im2col/col2im and related low-level kernels.
 
-These power both the float training path and the integer inference path
-of the quantization package, so they accept any numeric dtype.
+In float training only a dense conv that is not 1x1, stride 1 and
+unpadded runs through them: in the detectors that is the 3x3 stride-2
+stem, while the pointwise convs are plain ``matmul`` calls and the
+depthwise convs accumulate shifted slices (see :mod:`repro.nn.conv`).
+The int8 inference kernels of the quantization package unfold every
+conv with :func:`im2col`, so both accept any numeric dtype.
 """
 
 from __future__ import annotations

@@ -42,19 +42,19 @@ class BatchNorm2d(Module):
                 f"BatchNorm2d expects (N, {self.channels}, H, W), got {x.shape}"
             )
         if self.training:
-            mean = x.mean(axis=(0, 2, 3))
-            var = x.var(axis=(0, 2, 3))
+            m = x.shape[0] * x.shape[2] * x.shape[3]
+            mean = np.einsum("nchw->c", x) / m
+            x_hat = x - mean[None, :, None, None]
+            var = np.einsum("nchw,nchw->c", x_hat, x_hat) / m
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
-            mean = self.running_mean
+            x_hat = x - self.running_mean[None, :, None, None]
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        out = (
-            self.gamma.data[None, :, None, None] * x_hat
-            + self.beta.data[None, :, None, None]
-        )
+        x_hat *= inv_std[None, :, None, None]
+        out = x_hat * self.gamma.data[None, :, None, None]
+        out += self.beta.data[None, :, None, None]
         self._cache = (x_hat, inv_std)
         return out
 
@@ -64,16 +64,18 @@ class BatchNorm2d(Module):
         x_hat, inv_std = self._cache
         n, _, h, w = grad_out.shape
         m = n * h * w
-        self.gamma.grad += (grad_out * x_hat).sum(axis=(0, 2, 3))
-        self.beta.grad += grad_out.sum(axis=(0, 2, 3))
-        g = grad_out * self.gamma.data[None, :, None, None]
+        dgamma = np.einsum("nchw,nchw->c", grad_out, x_hat)
+        dbeta = np.einsum("nchw->c", grad_out)
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        scale = (self.gamma.data * inv_std)[None, :, None, None]
         if not self.training:
-            return g * inv_std[None, :, None, None]
-        sum_g = g.sum(axis=(0, 2, 3), keepdims=True)
-        sum_gx = (g * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-        return (
-            inv_std[None, :, None, None] * (g - sum_g / m - x_hat * sum_gx / m)
-        )
+            return grad_out * scale
+        dx = x_hat * (dgamma / m)[None, :, None, None]
+        np.subtract(grad_out, dx, out=dx)
+        dx -= (dbeta / m)[None, :, None, None]
+        dx *= scale
+        return dx
 
     def fold_scale_shift(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(scale, shift)`` such that ``y = scale * x + shift`` in eval mode.

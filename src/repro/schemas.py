@@ -153,7 +153,10 @@ MISSION_JOB_VERSION = register("repro.sim.mission-job", 3)
 
 #: Job ``version`` stamp for the paper-experiment jobs
 #: (``repro.experiments.jobs``): training, deployment plans, fig3.
-EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 1)
+#: History: v2 = ``matmul`` pointwise convs, shifted-slice depthwise
+#: convs and the sum-reusing BatchNorm, whose float reductions run in
+#: another order, so trained weights differ in their last bits.
+EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 2)
 
 #: ``python -m repro.lint --format json`` report documents.
 LINT_REPORT_SCHEMA = register("repro.lint.report", 1)

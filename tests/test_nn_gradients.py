@@ -62,16 +62,36 @@ class TestLayerGradients:
         x = RNG.normal(size=(2, 3, 6, 7))
         assert_grads_match(Conv2d(3, 4, 3, stride=2, padding=1, rng=RNG), x)
 
-    def test_conv2d_1x1(self):
-        x = RNG.normal(size=(2, 4, 3, 3))
-        assert_grads_match(Conv2d(4, 6, 1, rng=RNG), x)
+    # Stride 1 without padding is the matmul path; the others run im2col.
+    @pytest.mark.parametrize(
+        "n, stride, padding",
+        [
+            pytest.param(2, 1, 0, id="n2-s1-p0"),
+            pytest.param(1, 1, 0, id="n1-s1-p0"),
+            pytest.param(2, 2, 0, id="n2-s2-p0"),
+            pytest.param(2, 1, 1, id="n2-s1-p1"),
+        ],
+    )
+    def test_conv2d_1x1(self, n, stride, padding):
+        x = RNG.normal(size=(n, 4, 3, 3))
+        assert_grads_match(Conv2d(4, 6, 1, stride=stride, padding=padding, rng=RNG), x)
 
-    def test_depthwise(self):
-        x = RNG.normal(size=(2, 3, 6, 7))
-        assert_grads_match(DepthwiseConv2d(3, 3, stride=2, padding=1, rng=RNG), x)
+    @pytest.mark.parametrize(
+        "n, stride, padding, bias",
+        [
+            pytest.param(n, s, p, b, id=f"n{n}-s{s}-p{p}-{'bias' if b else 'nobias'}")
+            for n, s, p, b in [(2, s, p, b) for s in (1, 2) for p in (0, 1) for b in (False, True)]
+            + [(1, 2, 1, False)]
+        ],
+    )
+    def test_depthwise(self, n, stride, padding, bias):
+        x = RNG.normal(size=(n, 3, 6, 7))
+        layer = DepthwiseConv2d(3, 3, stride=stride, padding=padding, bias=bias, rng=RNG)
+        assert_grads_match(layer, x)
 
-    def test_batchnorm_train(self):
-        x = RNG.normal(size=(3, 4, 3, 3))
+    @pytest.mark.parametrize("n", [pytest.param(3, id="n3"), pytest.param(1, id="n1")])
+    def test_batchnorm_train(self, n):
+        x = RNG.normal(size=(n, 4, 3, 3))
         bn = BatchNorm2d(4)
         bn.train(True)
         assert_grads_match(bn, x, tol=1e-5)
