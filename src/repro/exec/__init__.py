@@ -40,7 +40,6 @@ from repro.exec.cache import (
     EvictionReport,
     ResultCache,
     default_cache_dir,
-    open_cache,
 )
 from repro.exec.executor import (
     FAILURE_SCHEMA,
@@ -103,7 +102,6 @@ __all__ = [
     "default_worker_id",
     "is_transient",
     "json_roundtrip",
-    "open_cache",
     "resolve_workers",
     "run_worker",
 ]

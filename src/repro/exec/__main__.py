@@ -5,7 +5,7 @@ Usage:
     python -m repro.exec worker --broker queue.db --timeout 120 &   # fleet
     python -m repro.exec submit --broker queue.db jobs.json --retries 3
     python -m repro.exec status --broker queue.db [--json]
-    python -m repro.exec drain --broker queue.db --timeout 600
+    python -m repro.exec drain --broker queue.db --wait-timeout 600
     python -m repro.exec requeue --broker queue.db
 
 The broker is one SQLite file (WAL mode): point any number of
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 import time
@@ -30,19 +31,14 @@ from types import FrameType
 from typing import List, Optional, Sequence
 
 from repro.errors import ExecError
-from repro.exec import (
-    Broker,
-    JobSpec,
-    RetryPolicy,
-    Worker,
-    default_worker_id,
-    open_cache,
-)
+from repro.exec import Broker, JobSpec, RetryPolicy, Worker, default_worker_id
+from repro.exec.executor import check_polling
+from repro.exec.flags import add_flags, cache_from
 from repro.exec.queue import DEFAULT_MAX_RECLAIMS
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
-    cache = open_cache(args.cache_dir, enabled=not args.no_cache)
+    cache = cache_from(args)
     retry = RetryPolicy(
         max_attempts=1, backoff_s=args.retry_backoff, timeout_s=args.timeout
     )
@@ -81,9 +77,24 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     return 0
 
 
+def _existing_broker(path: str) -> Broker:
+    """The queue at ``path``, for the commands that only inspect or change
+    one: unlike ``Broker(path)``, a mistyped path creates nothing."""
+    if not os.path.isfile(path):
+        raise ExecError(f"no queue database at {path}")
+    return Broker(path)
+
+
 def _load_job_dicts(path: str) -> List[JobSpec]:
-    raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
-    data = json.loads(raw)
+    try:
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
+        data = json.loads(raw)
+    except (OSError, ValueError) as exc:
+        raise ExecError(f"cannot load job specs from {path}: {exc}") from exc
     if not isinstance(data, list):
         raise ExecError("submit expects a JSON list of job spec objects")
     jobs: List[JobSpec] = []
@@ -112,7 +123,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    with Broker(args.broker) as broker:
+    with _existing_broker(args.broker) as broker:
         broker.reclaim_expired()
         stats = broker.stats()
         failed = broker.failed_jobs() if not args.json else []
@@ -149,8 +160,11 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_drain(args: argparse.Namespace) -> int:
-    deadline = None if args.timeout is None else time.monotonic() + args.timeout
-    with Broker(args.broker) as broker:
+    check_polling(args.poll, args.wait_timeout)
+    deadline = (
+        None if args.wait_timeout is None else time.monotonic() + args.wait_timeout
+    )
+    with _existing_broker(args.broker) as broker:
         while True:
             broker.reclaim_expired()
             counts = broker.counts()
@@ -179,7 +193,7 @@ def _cmd_drain(args: argparse.Namespace) -> int:
 
 
 def _cmd_requeue(args: argparse.Namespace) -> int:
-    with Broker(args.broker) as broker:
+    with _existing_broker(args.broker) as broker:
         n = broker.requeue_failed()
     print(f"requeued {n} failed jobs in {args.broker}")
     return 0
@@ -198,6 +212,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     worker = sub.add_parser("worker", help="run one worker daemon loop")
     _add_broker_arg(worker)
+    add_flags(
+        worker, "--cache-dir", "--no-cache", "--poll", "--timeout", "--retry-backoff"
+    )
     worker.add_argument(
         "--worker-id", default=None,
         help="stable worker identity (default: <host>:<pid>)",
@@ -208,20 +225,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default: the broker's, 60 s)",
     )
     worker.add_argument(
-        "--poll", type=float, default=0.2, metavar="S",
-        help="idle sleep between empty lease attempts",
-    )
-    worker.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-attempt wall-clock budget (watchdog; timeouts are "
-        "transient and requeued while attempts remain)",
-    )
-    worker.add_argument(
-        "--retry-backoff", type=float, default=0.0, metavar="S",
-        help="base requeue delay after a transient failure, doubling per "
-        "completed attempt (deterministic)",
-    )
-    worker.add_argument(
         "--max-jobs", type=int, default=None, metavar="N",
         help="exit after completing N jobs",
     )
@@ -229,14 +232,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--exit-when-drained", action="store_true",
         help="exit once the queue holds no pending or leased jobs "
         "instead of polling forever",
-    )
-    worker.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    worker.add_argument(
-        "--no-cache", action="store_true",
-        help="always execute; neither read nor write the result cache",
     )
     worker.add_argument(
         "--verbose", action="store_true", help="print one line per job at exit"
@@ -250,10 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="path to a JSON list of JobSpec.to_dict() objects "
         "(optional 'label' per entry); '-' reads stdin",
     )
-    submit.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="attempts per job (1 = no retries); fixed at submit time",
-    )
+    add_flags(submit, "--retries")
     submit.add_argument(
         "--max-reclaims", type=int, default=DEFAULT_MAX_RECLAIMS, metavar="N",
         help="how many dead-worker lease expiries a job survives before "
@@ -273,13 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "drain", help="wait until the queue holds no unfinished jobs"
     )
     _add_broker_arg(drain)
-    drain.add_argument(
-        "--poll", type=float, default=0.5, metavar="S", help="poll interval"
-    )
-    drain.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="give up after this long (exit code 2)",
-    )
+    add_flags(drain, "--poll", "--wait-timeout")
     drain.set_defaults(fn=_cmd_drain)
 
     requeue = sub.add_parser(

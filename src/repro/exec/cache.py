@@ -524,17 +524,3 @@ class ResultCache:
             remaining_bytes=total,
         )
 
-
-def open_cache(
-    directory: Optional[str] = None, enabled: bool = True
-) -> Optional[ResultCache]:
-    """CLI helper: the cache to use, or ``None`` when disabled.
-
-    Args:
-        directory: explicit cache directory; ``None`` falls back to
-            :func:`default_cache_dir`.
-        enabled: ``False`` (a ``--no-cache`` flag) returns ``None``.
-    """
-    if not enabled:
-        return None
-    return ResultCache(directory or default_cache_dir())

@@ -98,6 +98,23 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
+def check_polling(poll_s: float, wait_timeout_s: Optional[float] = None) -> None:
+    """Reject a poll interval or a wait timeout that is not positive.
+
+    A poll interval of zero spins its wait loop and a negative one fails
+    in :func:`time.sleep`; a wait timeout of zero or less gives up at
+    once.
+
+    Raises:
+        ExecError: for ``poll_s <= 0`` or ``wait_timeout_s <= 0``
+            (``None`` waits forever).
+    """
+    if poll_s <= 0:
+        raise ExecError(f"poll_s must be > 0, got {poll_s}")
+    if wait_timeout_s is not None and wait_timeout_s <= 0:
+        raise ExecError(f"wait_timeout_s must be > 0, got {wait_timeout_s}")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How many attempts a job gets, and how long each may take.
@@ -445,10 +462,10 @@ class Executor:
             and collect them as ``python -m repro.exec worker`` daemons
             finish; ``workers`` is unused. Jobs done before the submit
             count as cached.
-        poll_s: broker backend -- seconds between outcome polls.
+        poll_s: broker backend -- seconds between outcome polls (> 0).
         wait_timeout_s: broker backend -- raise
             :class:`~repro.errors.ExecError` after this many seconds
-            without the jobs finishing; ``None`` waits forever.
+            (> 0) without the jobs finishing; ``None`` waits forever.
         batch: run the uncached jobs in-process, in :class:`Batch`
             blocks. Each member keeps its own cache entry and progress
             call, and is reported with the block's wall clock amortized
@@ -480,6 +497,7 @@ class Executor:
         batch: Optional[Batch] = None,
     ) -> None:
         self.workers = resolve_workers(workers)
+        check_polling(poll_s, wait_timeout_s)
         if batch is not None and (broker is not None or self.workers > 1):
             raise ExecError(
                 "batch runs its blocks in-process; it cannot combine with "

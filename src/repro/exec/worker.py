@@ -47,6 +47,7 @@ from repro.exec.executor import (
     _attempt,
     _failure_from_parts,
     _watchdog_attempt,
+    check_polling,
     is_transient,
 )
 from repro.exec.queue import Broker, Lease, default_worker_id
@@ -92,7 +93,7 @@ class Worker:
             submit time; the worker never second-guesses it.
         worker_id: stable identity; defaults to ``<host>:<pid>``.
         lease_s: lease duration to request; default is the broker's.
-        poll_s: idle sleep between empty :meth:`Broker.lease` calls.
+        poll_s: idle sleep between empty :meth:`Broker.lease` calls (> 0).
         max_jobs: stop after this many pushed results (tests).
         exit_when_drained: return once the queue holds no pending or
             leased jobs instead of polling forever.
@@ -109,6 +110,7 @@ class Worker:
         max_jobs: Optional[int] = None,
         exit_when_drained: bool = False,
     ) -> None:
+        check_polling(poll_s)
         self.broker = broker
         self.cache = cache
         self.retry = retry or RetryPolicy()

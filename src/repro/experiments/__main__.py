@@ -21,72 +21,32 @@ import sys
 import time
 
 from repro.errors import ExecError, ObsError, SimError
-from repro.exec import Broker, RetryPolicy, open_cache
+from repro.exec import Broker, RetryPolicy
+from repro.exec.flags import add_flags, cache_from
 from repro.experiments import FULL_SCALE, SMOKE_SCALE
 from repro.experiments import fig3, fig5, fig6, table1, table2, table3, table4
 from repro.obs import ProgressLine
+from repro.sim.__main__ import CACHE_ACTIONS, cache_command
 
-# Every experiment accepts the shared executor knobs: a worker-pool
-# size, an optional persistent result cache, an optional live progress
-# callback, and an optional retry policy. ``kg`` (--keep-going) only
-# reaches the campaign-backed experiments: a table built from per-width
-# jobs has no meaningful partial result, but a campaign aggregates over
-# whichever missions survived.
+#: Each experiment's ``run`` and the function that renders its result.
+#: Every ``run`` takes the shared executor knobs: a worker-pool size, an
+#: optional persistent result cache, an optional live progress callback
+#: and an optional retry policy.
 _EXPERIMENTS = {
-    "table1": lambda s, w, c, p, r, kg, b: table1.format_table(
-        table1.run(s, workers=w, cache=c, progress=p, retry=r)
-    ),
-    "table2": lambda s, w, c, p, r, kg, b: table2.format_table(
-        table2.run(s, workers=w, cache=c, progress=p, retry=r)
-    ),
-    "table3": lambda s, w, c, p, r, kg, b: table3.format_table(
-        table3.run(
-            s, workers=w, cache=c, progress=p, retry=r, keep_going=kg, broker=b
-        )
-    ),
-    "table4": lambda s, w, c, p, r, kg, b: table4.format_table(
-        table4.run(s, workers=w, cache=c, progress=p, retry=r)
-    ),
-    "fig3": lambda s, w, c, p, r, kg, b: fig3.format_maps(
-        fig3.run(s, workers=w, cache=c, progress=p, retry=r)
-    ),
-    "fig5": lambda s, w, c, p, r, kg, b: fig5.format_table(
-        fig5.run(
-            s, workers=w, cache=c, progress=p, retry=r, keep_going=kg, broker=b
-        )
-    ),
-    "fig6": lambda s, w, c, p, r, kg, b: fig6.format_figure(
-        fig6.run(
-            s, workers=w, cache=c, progress=p, retry=r, keep_going=kg, broker=b
-        )
-    ),
+    "table1": (table1.run, table1.format_table),
+    "table2": (table2.run, table2.format_table),
+    "table3": (table3.run, table3.format_table),
+    "table4": (table4.run, table4.format_table),
+    "fig3": (fig3.run, fig3.format_maps),
+    "fig5": (fig5.run, fig5.format_table),
+    "fig6": (fig6.run, fig6.format_figure),
 }
 
-#: Experiments that can shard through ``--broker`` (campaign-backed).
-_BROKER_AWARE = frozenset({"table3", "fig5", "fig6"})
-
-
-def _cmd_cache(names, args) -> int:
-    """``cache stats|clear|evict``, run by the ``repro.sim`` CLI's one copy."""
-    from repro.sim.__main__ import CACHE_ACTIONS
-    from repro.sim.__main__ import main as sim_main
-
-    action = names[1] if len(names) > 1 else "stats"
-    if action not in CACHE_ACTIONS:
-        print(
-            f"error: unknown cache action {action!r} ({', '.join(CACHE_ACTIONS)})",
-            file=sys.stderr,
-        )
-        return 2
-    argv = ["cache", action]
-    for flag, value in (
-        ("--cache-dir", args.cache_dir),
-        ("--max-bytes", args.max_bytes),
-        ("--max-age", args.max_age),
-    ):
-        if value is not None:
-            argv += [flag, value]
-    return sim_main(argv)
+#: The campaign-backed experiments, which also take ``keep_going`` and
+#: shard through ``--broker``: a campaign aggregates over whichever
+#: missions survived, but a table built from per-width jobs has no
+#: meaningful partial result.
+_CAMPAIGNS = frozenset({"table3", "fig5", "fig6"})
 
 
 def main(argv=None) -> int:
@@ -104,70 +64,29 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--full", action="store_true", help="paper-scale runs (slow)"
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker-pool size for the experiment jobs; 0 = all cores",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="always recompute; neither read nor write the result cache",
-    )
-    parser.add_argument(
-        "--progress",
-        action="store_true",
-        help="live single-line job progress (done/total, hits vs executed, ETA)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="attempts per job (1 = no retries); only transient failures "
-        "(crashed workers, timeouts, flaky I/O) are retried",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-attempt wall-clock budget per job",
-    )
-    parser.add_argument(
-        "--keep-going", action="store_true",
-        help="campaign-backed experiments (table3, fig5, fig6) aggregate "
-        "over the missions that survived instead of aborting on the "
-        "first exhausted one",
-    )
-    parser.add_argument(
-        "--broker", default=None, metavar="PATH",
-        help="campaign-backed experiments (table3, fig5, fig6) shard "
-        "their missions through this queue database; drain with "
-        "`python -m repro.exec worker --broker PATH` (byte-identical "
-        "results)",
-    )
-    parser.add_argument(
-        "--max-bytes", default=None, metavar="SIZE",
-        help="for `cache evict`: byte budget (k/M/G suffixes ok)",
-    )
-    parser.add_argument(
-        "--max-age", default=None, metavar="AGE",
-        help="for `cache evict`: drop entries last used longer ago than "
-        "this (s/m/h/d suffixes ok)",
+    add_flags(
+        parser, "--workers", "--cache-dir", "--no-cache", "--progress",
+        "--retries", "--timeout", "--keep-going", "--broker", "--max-bytes",
+        "--max-age",
     )
     args = parser.parse_args(argv)
     if args.names == ["list"]:
         for name in _EXPERIMENTS:
             print(name)
         return 0
-    if args.names[0] == "cache":
-        return _cmd_cache(args.names, args)
-    names = list(_EXPERIMENTS) if args.names == ["all"] else args.names
-    unknown = [n for n in names if n not in _EXPERIMENTS]
-    if unknown:
-        parser.error(f"unknown experiments: {', '.join(unknown)}")
     try:
+        if args.names[0] == "cache":
+            args.action = args.names[1] if len(args.names) > 1 else "stats"
+            if args.action not in CACHE_ACTIONS:
+                raise SimError(
+                    f"unknown cache action {args.action!r} "
+                    f"({', '.join(CACHE_ACTIONS)})"
+                )
+            return cache_command(args)
+        names = list(_EXPERIMENTS) if args.names == ["all"] else args.names
+        unknown = [n for n in names if n not in _EXPERIMENTS]
+        if unknown:
+            parser.error(f"unknown experiments: {', '.join(unknown)}")
         return _run(names, args)
     except (ExecError, ObsError, SimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -177,14 +96,14 @@ def main(argv=None) -> int:
 def _run(names, args) -> int:
     """Run and print each experiment of ``names``, in order."""
     scale = FULL_SCALE if args.full else SMOKE_SCALE
-    cache = open_cache(args.cache_dir, enabled=not args.no_cache)
+    cache = cache_from(args)
     retry = RetryPolicy(max_attempts=args.retries, timeout_s=args.timeout)
     broker = Broker(args.broker) if args.broker else None
     if broker is not None:
-        unsharded = [n for n in names if n not in _BROKER_AWARE]
+        unsharded = [n for n in names if n not in _CAMPAIGNS]
         if unsharded:
             print(
-                f"note: --broker only shards {', '.join(sorted(_BROKER_AWARE))}; "
+                f"note: --broker only shards {', '.join(sorted(_CAMPAIGNS))}; "
                 f"{', '.join(unsharded)} run in-process",
                 file=sys.stderr,
             )
@@ -194,11 +113,12 @@ def _run(names, args) -> int:
             hits = cache.hits if cache else 0
             misses = cache.misses if cache else 0
             line = ProgressLine(name) if args.progress else None
+            knobs = dict(workers=args.workers, cache=cache, progress=line, retry=retry)
+            if name in _CAMPAIGNS:
+                knobs.update(keep_going=args.keep_going, broker=broker)
+            run, render = _EXPERIMENTS[name]
             try:
-                output = _EXPERIMENTS[name](
-                    scale, args.workers, cache, line, retry, args.keep_going,
-                    broker if name in _BROKER_AWARE else None,
-                )
+                output = render(run(scale, **knobs))
             finally:
                 if line is not None:
                     line.finish()

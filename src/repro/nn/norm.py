@@ -41,6 +41,10 @@ class BatchNorm2d(Module):
             raise ShapeError(
                 f"BatchNorm2d expects (N, {self.channels}, H, W), got {x.shape}"
             )
+        # The channel sums follow memory order; summing a C-ordered copy
+        # (the input itself when it is one) makes every bit of the
+        # result independent of the caller's layout.
+        x = np.ascontiguousarray(x)
         if self.training:
             m = x.shape[0] * x.shape[2] * x.shape[3]
             mean = np.einsum("nchw->c", x) / m
@@ -62,6 +66,7 @@ class BatchNorm2d(Module):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         x_hat, inv_std = self._cache
+        grad_out = np.ascontiguousarray(grad_out)
         n, _, h, w = grad_out.shape
         m = n * h * w
         dgamma = np.einsum("nchw,nchw->c", grad_out, x_hat)

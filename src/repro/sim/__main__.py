@@ -33,14 +33,9 @@ import sys
 import time
 
 from repro.errors import ExecError, ObsError, SimError
-from repro.exec import (
-    Broker,
-    ResultCache,
-    RetryPolicy,
-    default_cache_dir,
-    open_cache,
-)
+from repro.exec import Broker, ResultCache, RetryPolicy, default_cache_dir
 from repro.exec.cache import parse_age, parse_size
+from repro.exec.flags import add_flags, cache_from
 from repro.obs import ProgressLine, TraceStore
 from repro.experiments.reporting import ascii_table
 from repro.sim.campaign import Campaign
@@ -189,11 +184,12 @@ def _summary(result: CampaignResult) -> str:
     )
 
 
-#: ``cache`` subcommand actions; ``python -m repro.experiments cache`` runs them too.
+#: ``cache`` subcommand actions.
 CACHE_ACTIONS = ("stats", "clear", "evict")
 
 
-def _cmd_cache(args) -> int:
+def cache_command(args) -> int:
+    """The ``cache`` subcommand; ``python -m repro.experiments cache`` runs it too."""
     cache = ResultCache(args.cache_dir or default_cache_dir())
     store = TraceStore(cache.directory)
     if args.action == "clear":
@@ -306,7 +302,7 @@ def _cmd_run(args) -> int:
     )
     total = len(campaign.missions())
     workers = args.workers
-    cache = open_cache(args.cache_dir, enabled=not args.no_cache)
+    cache = cache_from(args)
     fleet_block = args.fleet_block
     if args.broker:
         mode = f"broker({args.broker})"
@@ -321,14 +317,14 @@ def _cmd_run(args) -> int:
         f"hash {campaign.campaign_hash()[:12]}",
         flush=True,
     )
+    retry = RetryPolicy(
+        max_attempts=args.retries,
+        backoff_s=args.retry_backoff,
+        timeout_s=args.timeout,
+    )
     if args.enqueue_only:
         if not args.broker:
             raise SimError("--enqueue-only needs --broker")
-        retry = RetryPolicy(
-            max_attempts=args.retries,
-            backoff_s=args.retry_backoff,
-            timeout_s=args.timeout,
-        )
         with Broker(args.broker) as broker:
             report = enqueue_campaign(
                 campaign, broker, record=args.record, retry=retry,
@@ -348,11 +344,6 @@ def _cmd_run(args) -> int:
         return 0
     progress_line = (
         ProgressLine(f"campaign {campaign.name!r}") if args.progress else None
-    )
-    retry = RetryPolicy(
-        max_attempts=args.retries,
-        backoff_s=args.retry_backoff,
-        timeout_s=args.timeout,
     )
     start = time.perf_counter()
     broker = Broker(args.broker) if args.broker else None
@@ -464,7 +455,6 @@ def main(argv=None) -> int:
     run.add_argument("--flight-time", type=float, default=None, help="override flight time, s")
     run.add_argument("--kind", choices=("search", "explore"), default="search")
     run.add_argument("--seed", type=int, default=0, help="campaign root seed")
-    run.add_argument("--workers", type=int, default=None, help="pool size; 0 = all cores; default serial")
     run.add_argument(
         "--fleet-block", type=int, default=None, metavar="N",
         help="step same-world missions in vectorized lock-step blocks of "
@@ -474,62 +464,19 @@ def main(argv=None) -> int:
     run.add_argument("--out", default=None, help="directory for the JSON result (default: don't persist)")
     run.add_argument("--quiet", action="store_true", help="suppress per-mission progress lines")
     run.add_argument(
-        "--progress", action="store_true",
-        help="live single-line progress (done/total, hits vs executed, ETA) "
-        "instead of per-mission lines",
-    )
-    run.add_argument(
         "--record", action="store_true",
         help="store a per-tick flight trace beside each mission's cache "
         "entry (re-flies cached missions whose trace is missing)",
-    )
-    run.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    run.add_argument(
-        "--no-cache", action="store_true",
-        help="always re-fly missions; neither read nor write the result cache",
-    )
-    run.add_argument(
-        "--retries", type=int, default=1, metavar="N",
-        help="attempts per mission (1 = no retries); only transient "
-        "failures (crashed workers, timeouts, flaky I/O) are retried",
-    )
-    run.add_argument(
-        "--retry-backoff", type=float, default=0.0, metavar="S",
-        help="base backoff between attempts, doubling each retry (deterministic)",
-    )
-    run.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-attempt wall-clock budget per mission; an overrunning "
-        "pooled mission's worker is killed and the attempt retried",
-    )
-    run.add_argument(
-        "--keep-going", action="store_true",
-        help="a mission that exhausts its attempts is reported as failed "
-        "in the result instead of aborting the campaign",
-    )
-    run.add_argument(
-        "--broker", default=None, metavar="PATH",
-        help="shard the campaign through a queue database instead of "
-        "executing in-process: missions are enqueued (idempotently) and "
-        "`python -m repro.exec worker` daemons drain them; results are "
-        "byte-identical to a serial run",
     )
     run.add_argument(
         "--enqueue-only", action="store_true",
         help="with --broker: submit the missions and exit without "
         "waiting (re-run without this flag to wait and collect)",
     )
-    run.add_argument(
-        "--poll", type=float, default=0.2, metavar="S",
-        help="with --broker: seconds between outcome polls",
-    )
-    run.add_argument(
-        "--wait-timeout", type=float, default=None, metavar="S",
-        help="with --broker: give up after this long without the queue "
-        "draining (default: wait forever)",
+    add_flags(
+        run, "--workers", "--progress", "--cache-dir", "--no-cache",
+        "--retries", "--retry-backoff", "--timeout", "--keep-going",
+        "--broker", "--poll", "--wait-timeout",
     )
     run.set_defaults(fn=_cmd_run)
 
@@ -547,10 +494,7 @@ def main(argv=None) -> int:
         help="re-fly each mission and assert bit-identity with the stored "
         "trace and record",
     )
-    replay.add_argument(
-        "--cache-dir", default=None,
-        help="cache/trace directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
+    add_flags(replay, "--cache-dir")
     replay.set_defaults(fn=_cmd_replay)
 
     report = sub.add_parser(
@@ -560,31 +504,15 @@ def main(argv=None) -> int:
     report.add_argument(
         "--out", default="campaign-report.html", help="output HTML path"
     )
-    report.add_argument(
-        "--cache-dir", default=None,
-        help="cache/trace directory the trace-backed panels load from",
-    )
+    add_flags(report, "--cache-dir")
     report.set_defaults(fn=_cmd_report)
 
     cache = sub.add_parser(
         "cache", help="inspect, clear or evict from the result cache"
     )
     cache.add_argument("action", choices=CACHE_ACTIONS)
-    cache.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    cache.add_argument(
-        "--max-bytes", default=None, metavar="SIZE",
-        help="evict: byte budget for entries + paired traces, oldest-used "
-        "evicted first (accepts k/M/G suffixes, e.g. 500M)",
-    )
-    cache.add_argument(
-        "--max-age", default=None, metavar="AGE",
-        help="evict: drop entries last used longer ago than this "
-        "(accepts s/m/h/d suffixes, e.g. 30d)",
-    )
-    cache.set_defaults(fn=_cmd_cache)
+    add_flags(cache, "--cache-dir", "--max-bytes", "--max-age")
+    cache.set_defaults(fn=cache_command)
 
     args = parser.parse_args(argv)
     try:

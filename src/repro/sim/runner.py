@@ -338,7 +338,8 @@ def run_campaign(
         counters).
 
     Raises:
-        ExecError: for a negative ``workers`` count, a ``fleet_block``
+        ExecError: for a negative ``workers`` count, a ``poll_s`` or
+            ``wait_timeout_s`` that is not positive, a ``fleet_block``
             below 1, ``fleet_block`` combined with ``record``, a broker
             or a pool, or a failed mission without ``keep_going``.
 

@@ -12,7 +12,7 @@ import pytest
 
 from perfbench import nnref
 from repro.experiments import jobs
-from repro.nn import Conv2d, DepthwiseConv2d, ReLU6
+from repro.nn import BatchNorm2d, Conv2d, DepthwiseConv2d, ReLU6
 
 
 def test_every_detector_layer_shape_matches_the_reference():
@@ -49,9 +49,7 @@ def test_configurations_the_detectors_lack_match_the_reference(key):
 
 
 # In a training step the conv backward receives the SSD heads' transposed
-# gradients, and ReLU6 the depthwise backward's strided views. BatchNorm
-# only ever sees contiguous arrays; its channel sums follow memory order,
-# so it is left out.
+# gradients, and ReLU6 the depthwise backward's strided views.
 LAYERS = {
     "pointwise": lambda rng: Conv2d(6, 5, 1, rng=rng),
     "stem": lambda rng: Conv2d(6, 5, 3, stride=2, padding=1, bias=True, rng=rng),
@@ -59,14 +57,21 @@ LAYERS = {
     "depthwise-s2": lambda rng: DepthwiseConv2d(6, 3, stride=2, padding=1, rng=rng),
     "depthwise-p0": lambda rng: DepthwiseConv2d(6, 3, padding=0, bias=True, rng=rng),
     "relu6": lambda rng: ReLU6(),
+    "batchnorm": lambda rng: BatchNorm2d(6),
 }
 
 
 def _run(layer, x, g):
+    """Outputs, gradients and updated buffers (BatchNorm's running
+    statistics) of one step; the layer's state is restored after it."""
+    state = layer.state_dict()
     layer.zero_grad()
     out = layer.forward(x)
     dx = layer.backward(g)
-    return [out, dx] + [p.grad.copy() for p in layer.parameters()]
+    grads = [p.grad.copy() for p in layer.parameters()]
+    buffers = [b.copy() for _, b in layer.named_buffers()]
+    layer.load_state_dict(state)
+    return [out, dx] + grads + buffers
 
 
 @pytest.mark.parametrize("name", list(LAYERS))

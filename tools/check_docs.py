@@ -43,6 +43,7 @@ DOCTEST_MODULES = (
     "repro.exec.demo",
     "repro.exec.executor",
     "repro.exec.faults",
+    "repro.exec.flags",
     "repro.exec.jobspec",
     "repro.exec.queue",
     "repro.exec.worker",
