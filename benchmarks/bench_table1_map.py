@@ -19,7 +19,10 @@ def test_table1_map(benchmark, train_scale):
     web = result.rows[0].map_by_width
     gap = result.rows[1].map_by_width
     ft = result.rows[2].map_by_width
+    int8 = result.rows[3].map_by_width
     for w in widths:
         assert 0.0 <= web[w] <= 1.0
         # Fine-tuning must recover (most of) the domain gap.
         assert ft[w] >= gap[w] - 0.05
+        # The QAT int8 deployment must stay close to the float model.
+        assert abs(int8[w] - ft[w]) <= 0.05

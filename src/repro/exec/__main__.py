@@ -103,6 +103,8 @@ def _load_job_dicts(path: str) -> List[JobSpec]:
             raise ExecError(f"job spec entries must be objects, got {type(entry).__name__}")
         entry = dict(entry)
         label = entry.pop("label", "")
+        if not isinstance(label, str):
+            raise ExecError(f"job spec field 'label' must be a string, got {label!r}")
         jobs.append(JobSpec.from_dict(entry, label=label))
     return jobs
 

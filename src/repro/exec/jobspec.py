@@ -96,6 +96,10 @@ def json_roundtrip(value: Any) -> Any:
     return json.loads(json.dumps(value))  # repro: noqa[RPR104] ordering is discarded by the immediate loads; not a persisted form
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One unit of deterministic work, as pure data.
@@ -186,7 +190,29 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict, label: str = "") -> "JobSpec":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`, and the parser of job files.
+
+        Raises:
+            ExecError: naming the field, when ``fn`` is missing or a
+                field is unknown or has the wrong type.
+        """
+        unknown = sorted(set(data) - {"fn", "kwargs", "seed_entropy", "spawn_key", "version"})
+        if unknown:
+            raise ExecError(f"job spec has unknown field(s) {unknown}")
+        if "fn" not in data:
+            raise ExecError("job spec field 'fn' is missing")
+        spawn_key = data.get("spawn_key", ())
+        for name, ok, want in (
+            ("fn", isinstance(data["fn"], str), "a string"),
+            ("kwargs", isinstance(data.get("kwargs", {}), dict), "an object"),
+            ("seed_entropy", data.get("seed_entropy") is None
+             or _is_int(data["seed_entropy"]), "an integer or null"),
+            ("spawn_key", isinstance(spawn_key, (list, tuple))
+             and all(map(_is_int, spawn_key)), "a list of integers"),
+            ("version", isinstance(data.get("version", ""), str), "a string"),
+        ):
+            if not ok:
+                raise ExecError(f"job spec field {name!r} must be {want}, got {data[name]!r}")
         return cls(
             fn=data["fn"],
             kwargs=dict(data.get("kwargs", {})),

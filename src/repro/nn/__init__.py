@@ -6,7 +6,8 @@ depthwise convolutions, batch normalization, ReLU6, losses, and the
 RMSProp optimizer with exponential learning-rate decay that the paper
 trains with.
 
-Layout convention: activations are NCHW float64 arrays.
+Layout convention: activations are NCHW arrays, float32 in a training
+step and float64 elsewhere.
 """
 
 from repro.nn.module import Module, Parameter, Sequential

@@ -13,8 +13,9 @@ and every 1x1 pointwise conv) and 3x3 depthwise convolutions.
 - :class:`DepthwiseConv2d` accumulates k x k shifted slices of its padded
   input, one kernel tap at a time, so no column copy is made.
 
-Layers compute in their input's dtype (promoted with the float64
-weights) and modify in place only arrays they allocated.
+Layers compute in the dtype of their input and weights (float32 in a
+training step, float64 elsewhere) and modify in place only arrays they
+allocated.
 """
 
 from __future__ import annotations
@@ -199,6 +200,9 @@ class DepthwiseConv2d(Module):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         (_, _, h, w), xp = self._cache
+        # The bias sum follows memory order: reduce a C-ordered copy, as
+        # BatchNorm2d does, so its bits do not depend on the caller's layout.
+        grad_out = np.ascontiguousarray(grad_out)
         out_h, out_w = grad_out.shape[2], grad_out.shape[3]
         p = self.padding
         wt = self.weight.data

@@ -155,8 +155,9 @@ MISSION_JOB_VERSION = register("repro.sim.mission-job", 3)
 #: (``repro.experiments.jobs``): training, deployment plans, fig3.
 #: History: v2 = ``matmul`` pointwise convs, shifted-slice depthwise
 #: convs and the sum-reusing BatchNorm, whose float reductions run in
-#: another order, so trained weights differ in their last bits.
-EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 2)
+#: another order, so trained weights differ in their last bits; v3 =
+#: training steps computed in float32 on float64 master weights.
+EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 3)
 
 #: ``python -m repro.lint --format json`` report documents.
 LINT_REPORT_SCHEMA = register("repro.lint.report", 1)

@@ -403,20 +403,6 @@ class SSDDetector(Module):
         grad_loc /= n
         return total, (grad_conf, grad_loc)
 
-    def train_step(
-        self,
-        optimizer,
-        images: np.ndarray,
-        gt_boxes: Sequence[np.ndarray],
-        gt_labels: Sequence[np.ndarray],
-    ) -> float:
-        """One optimization step; returns the batch loss."""
-        self.zero_grad()
-        loss, grads = self.compute_loss(images, gt_boxes, gt_labels)
-        self.backward(grads)
-        optimizer.step()
-        return loss
-
     # -- inference ---------------------------------------------------------------
 
     def predict(

@@ -5,12 +5,16 @@ every 24 epochs, batch 24, photometric augmentations with p = 0.5; it
 then fine-tunes (optionally with QAT) on the Himax dataset at lr 1e-4
 decayed by 0.95 every 10 epochs. :class:`TrainingConfig` encodes those
 hyperparameters, scaled to whatever dataset size the caller provides.
+
+As in the paper's PyTorch pipeline, each step computes in float32, on
+float32 copies of the float64 master weights that the optimizer updates.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -77,8 +81,25 @@ class TrainingLog:
         return self.epoch_losses[-1] if self.epoch_losses else float("nan")
 
 
+@contextlib.contextmanager
+def _float32_weights(detector: SSDDetector) -> Iterator[None]:
+    """Swap each parameter's ``data`` for a float32 copy, then restore the masters."""
+    params = detector.parameters()
+    masters = [p.data for p in params]
+    for p in params:
+        p.data = p.data.astype(np.float32)
+    try:
+        yield
+    finally:
+        for p, master in zip(params, masters):
+            p.data = master
+
+
 class Trainer:
     """Trains an :class:`~repro.vision.ssd.SSDDetector` on a dataset.
+
+    Steps run in float32 on float32 copies of the weights; gradients,
+    optimizer state and BatchNorm buffers stay float64, like the masters.
 
     Args:
         detector: the model to train (modified in place).
@@ -132,11 +153,16 @@ class Trainer:
         return log
 
     def _step(self, optimizer, images, boxes, labels) -> float:
-        if self.qat is None:
-            return self.detector.train_step(optimizer, images, boxes, labels)
-        with self.qat.quantized_weights(self.detector):
-            self.detector.zero_grad()
-            loss, grads = self.detector.compute_loss(images, boxes, labels)
+        self.detector.zero_grad()
+        # Cast inside QAT's context, so the layers see its int8-grid weights.
+        quantized = (
+            contextlib.nullcontext() if self.qat is None
+            else self.qat.quantized_weights(self.detector)
+        )
+        with quantized, _float32_weights(self.detector):
+            loss, grads = self.detector.compute_loss(
+                images.astype(np.float32), boxes, labels
+            )
             self.detector.backward(grads)
         optimizer.step()
         return loss

@@ -202,6 +202,21 @@ class TestExecCommands:
         assert not (tmp_path / "typo-dir").exists()
 
 
+#: Job files ``repro.exec submit`` must refuse before submitting anything.
+BAD_JOB_FILES = {
+    "malformed.json": "[{not json",
+    "no-fn.json": json.dumps([{"kwargs": {}}]),
+    "list-kwargs.json": json.dumps([{"fn": "repro.exec.demo:scaled_sum", "kwargs": [1]}]),
+    "int-fn.json": json.dumps([{"fn": 5}]),
+    "str-spawn-key.json": json.dumps([{"fn": "repro.exec.demo:scaled_sum", "spawn_key": ["a"]}]),
+    "str-entropy.json": json.dumps([{"fn": "repro.exec.demo:scaled_sum", "seed_entropy": "x"}]),
+    "list-label.json": json.dumps([{"fn": "repro.exec.demo:scaled_sum", "label": ["x"]}]),
+    "misspelled-kwargs.json": json.dumps(
+        [{"fn": "repro.exec.demo:scaled_sum", "kwarg": {"values": [1.0]}}]
+    ),
+}
+
+
 class TestBadValues:
     """Bad poll intervals, wait timeouts and job files end in
     ``error: ...`` and exit 2, not in a traceback or a busy loop."""
@@ -241,17 +256,27 @@ class TestBadValues:
              "poll_s must be > 0"),
             (["submit", "missing.json"], "cannot load job specs from"),
             (["submit", "malformed.json"], "cannot load job specs from"),
+            (["submit", "no-fn.json"], "field 'fn' is missing"),
+            (["submit", "list-kwargs.json"], "field 'kwargs' must be an object"),
+            (["submit", "int-fn.json"], "field 'fn' must be a string"),
+            (["submit", "str-spawn-key.json"], "field 'spawn_key' must be a list of integers"),
+            (["submit", "str-entropy.json"], "field 'seed_entropy' must be an integer or null"),
+            (["submit", "list-label.json"], "field 'label' must be a string"),
+            (["submit", "misspelled-kwargs.json"], "unknown field(s) ['kwarg']"),
         ],
         ids=[
             "drain-poll-negative", "drain-poll-zero", "drain-wait-negative",
             "drain-wait-zero", "worker-poll-zero", "worker-poll-negative",
-            "submit-missing", "submit-malformed",
+            "submit-missing", "submit-malformed", "submit-no-fn",
+            "submit-list-kwargs", "submit-int-fn", "submit-str-spawn-key",
+            "submit-str-entropy", "submit-list-label", "submit-misspelled-kwargs",
         ],
     )
     def test_exec_commands(
         self, queue, tmp_path, capsys, no_signals, monkeypatch, argv, message
     ):
-        (tmp_path / "malformed.json").write_text("[{not json")
+        for name, text in BAD_JOB_FILES.items():
+            (tmp_path / name).write_text(text)
         monkeypatch.chdir(tmp_path)
         assert exec_cli.main([argv[0], "--broker", queue, *argv[1:]]) == 2
         err = capsys.readouterr().err

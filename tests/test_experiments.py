@@ -1,5 +1,9 @@
 """Smoke tests of the experiment regenerators at minimal scale."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -97,3 +101,26 @@ class TestFlightExperiments:
         assert (np.diff(result.mean_coverage) >= -1e-9).all()
         text = fig6.format_figure(result)
         assert "coverage" in text
+
+
+class TestTable1Job:
+    def test_trained_weights_do_not_depend_on_the_blas_thread_count(self):
+        """The cache serves a Table I payload whatever BLAS thread count
+        computed it, so a width must train to the same bytes on 1 and 2
+        OpenBLAS threads."""
+        code = (
+            "import json, sys\n"
+            "from repro.experiments.jobs import train_width\n"
+            "payload = train_width(1.0, 8, 8, 1, 1, 1, 8, seed=5)\n"
+            "sys.stdout.write(json.dumps(payload, sort_keys=True))\n"
+        )
+        payloads = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert b'"state"' in payloads[0]
+        assert payloads[0] == payloads[1]

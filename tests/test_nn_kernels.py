@@ -74,16 +74,36 @@ def _run(layer, x, g):
     return [out, dx] + grads + buffers
 
 
-@pytest.mark.parametrize("name", list(LAYERS))
-def test_non_contiguous_arrays_give_the_contiguous_results(name):
-    """Forward on a transposed view, and backward on a strided view like
-    the one the depthwise backward returns, equal the results for
-    contiguous copies bit for bit."""
+# The gradient layouts a training step passes, as id suffixes: a strided
+# view like the one the depthwise backward returns, and a transposed view
+# like the SSD heads' gradients.
+GRADIENTS = {
+    "": lambda a, n, c, h, w: a((n, c, h + 2, w + 2))[:, :, 1:-1, 1:-1],
+    "-transposed": lambda a, n, c, h, w: a((n, c, w, h)).transpose(0, 1, 3, 2),
+}
+DTYPES = {"": np.float64, "-float32": np.float32}
+
+
+@pytest.mark.parametrize(
+    "name, gradient, dtype",
+    [(name, g, d) for name in LAYERS for g in GRADIENTS for d in DTYPES],
+    ids=[f"{name}{g}{d}" for name in LAYERS for g in GRADIENTS for d in DTYPES],
+)
+def test_non_contiguous_arrays_give_the_contiguous_results(name, gradient, dtype):
+    """Forward on a transposed view, and backward on a strided or a
+    transposed view, equal the results for contiguous copies bit for bit,
+    in float64 and with the input and parameters in float32."""
     rng = np.random.default_rng(5)
-    x = rng.standard_normal((2, 6, 9, 7)).transpose(0, 1, 3, 2)
+
+    def array(shape):
+        return rng.standard_normal(shape).astype(DTYPES[dtype])
+
+    x = array((2, 6, 9, 7)).transpose(0, 1, 3, 2)
     layer = LAYERS[name](rng)
+    for p in layer.parameters():
+        p.data = p.data.astype(DTYPES[dtype])
     n, c, h, w = layer.forward(x).shape
-    g = rng.standard_normal((n, c, h + 2, w + 2))[:, :, 1:-1, 1:-1]
+    g = GRADIENTS[gradient](array, n, c, h, w)
     assert not x.flags.c_contiguous and not g.flags.c_contiguous
     got = _run(layer, x, g)
     want = _run(layer, np.ascontiguousarray(x), np.ascontiguousarray(g))

@@ -5,7 +5,8 @@ import pytest
 
 from repro.datasets import make_openimages_like
 from repro.evaluation import evaluate_map
-from repro.quantization import QATWeightQuantizer
+from repro.nn import BatchNorm2d, Conv2d, DepthwiseConv2d, ReLU6
+from repro.quantization import QATWeightQuantizer, fake_quantize, symmetric_scale
 from repro.vision import SSDDetector, tiny_spec
 from repro.vision.training import (
     Trainer,
@@ -78,3 +79,77 @@ class TestTrainer:
         det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
         Trainer(det, TrainingConfig(epochs=1, batch_size=16)).fit(small_dataset)
         assert not det.training
+
+
+def _modules(module):
+    yield module
+    for child in module.children():
+        yield from _modules(child)
+
+
+class TestFloat32Steps:
+    """Steps compute in float32; the weights the optimizer updates, the
+    gradients and the BatchNorm statistics stay float64."""
+
+    def test_layers_compute_in_float32_on_float64_masters(self, monkeypatch):
+        seen = []  # (layer, pass, input dtype, output dtype)
+        first_weights = {}  # conv id -> the weight its first forward read
+
+        def wrap(cls, name):
+            original = getattr(cls, name)
+
+            def wrapped(self, x):
+                if name == "forward" and hasattr(self, "weight"):
+                    first_weights.setdefault(id(self), self.weight.data.copy())
+                out = original(self, x)
+                seen.append((cls.__name__, name, x.dtype, out.dtype))
+                return out
+
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls in (Conv2d, DepthwiseConv2d, BatchNorm2d, ReLU6):
+            wrap(cls, "forward")
+            wrap(cls, "backward")
+        det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
+        data = make_openimages_like(8, seed=0)
+        cfg = TrainingConfig(epochs=1, batch_size=4, augment_prob=0.0, seed=0)
+        Trainer(det, cfg).fit(data)
+        convs = [m for m in _modules(det) if isinstance(m, (Conv2d, DepthwiseConv2d))]
+        masters = {id(m): m.weight.data.copy() for m in convs}
+        first_weights.clear()
+        Trainer(det, cfg, qat=QATWeightQuantizer(bits=8)).fit(data)
+
+        assert {(layer, pass_) for layer, pass_, _, _ in seen} == {
+            (cls.__name__, pass_)
+            for cls in (Conv2d, DepthwiseConv2d, BatchNorm2d, ReLU6)
+            for pass_ in ("forward", "backward")
+        }
+        assert [call for call in seen if call[2:] != (np.float32, np.float32)] == []
+        for p in det.parameters():
+            assert p.data.dtype == np.float64 and p.grad.dtype == np.float64
+        for _, buf in det.named_buffers():
+            assert buf.dtype == np.float64
+        # The first QAT step's weights are the int8-grid copies of the
+        # masters, cast to float32 after quantization.
+        for conv in convs:
+            master = masters[id(conv)]
+            scale = symmetric_scale(float(np.abs(master).max()), 8)
+            np.testing.assert_array_equal(
+                first_weights[id(conv)],
+                fake_quantize(master, scale, 8).astype(np.float32),
+            )
+            assert first_weights[id(conv)].dtype == np.float32
+
+    @pytest.mark.parametrize("qat", [None, QATWeightQuantizer(bits=8)], ids=["plain", "qat"])
+    def test_a_failing_step_restores_the_masters(self, monkeypatch, qat):
+        det = SSDDetector(tiny_spec(0.5), rng=np.random.default_rng(0))
+        masters = [p.data for p in det.parameters()]
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(det, "compute_loss", fail)
+        cfg = TrainingConfig(epochs=1, batch_size=8, augment_prob=0.0)
+        with pytest.raises(RuntimeError, match="boom"):
+            Trainer(det, cfg, qat=qat).fit(make_openimages_like(8, seed=0))
+        assert all(p.data is m for p, m in zip(det.parameters(), masters))
