@@ -6,10 +6,10 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.mission.closed_loop import SearchResult
+from repro.mission.loop import FlightResult
 
 
-def aggregate_detection_rate(results: Sequence[SearchResult]) -> Tuple[float, float]:
+def aggregate_detection_rate(results: Sequence[FlightResult]) -> Tuple[float, float]:
     """Mean and standard deviation of the detection rate over runs.
 
     The paper reports the mean over 5 independent 3-minute runs.

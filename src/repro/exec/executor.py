@@ -219,6 +219,24 @@ class JobFailure:
     def from_dict(cls, data: dict) -> "JobFailure":
         return cls(**{k: v for k, v in data.items() if k != "schema"})
 
+    @classmethod
+    def for_job(
+        cls, job: JobSpec, attempts: int, error_type: str, message: str,
+        transient: bool, timed_out: bool = False, worker_crash: bool = False,
+    ) -> "JobFailure":
+        """The envelope of ``job`` failing after ``attempts`` attempts."""
+        return cls(
+            job_hash=job.content_hash(),
+            label=job.label,
+            fn=job.fn,
+            error_type=error_type,
+            message=message,
+            attempts=attempts,
+            transient=transient,
+            timed_out=timed_out,
+            worker_crash=worker_crash,
+        )
+
     @staticmethod
     def is_failure_payload(payload: Any) -> bool:
         """Whether a plain-data payload is a serialized failure envelope."""
@@ -291,6 +309,15 @@ class ExecutionReport:
 # -- attempt machinery ----------------------------------------------------
 
 
+def _classify(exc: BaseException) -> Tuple[str, str, bool, bool, bool]:
+    """A failed attempt's ``(error_type, message, transient, timed_out,
+    worker_crash)``: the arguments :meth:`_Task.failed` takes."""
+    return (
+        type(exc).__name__, str(exc), is_transient(exc),
+        isinstance(exc, JobTimeout), isinstance(exc, WorkerCrash),
+    )
+
+
 def _attempt(job: JobSpec, attempt: int) -> Any:
     """Run one attempt of ``job``, applying any injected faults first."""
     faults.fire_job_faults(job.content_hash(), attempt)
@@ -329,7 +356,11 @@ def _watchdog_attempt(job: JobSpec, attempt: int, timeout_s: float) -> Any:
 
 
 class _Task:
-    """Mutable per-job retry state inside one ``run()`` call."""
+    """Mutable per-job retry state inside one ``run()`` call.
+
+    The one attempt ledger: every in-process and pooled path ends an
+    attempt with :meth:`done` or :meth:`failed`.
+    """
 
     __slots__ = ("index", "job", "attempts", "timeouts")
 
@@ -338,6 +369,33 @@ class _Task:
         self.job = job
         self.attempts = 0  # completed (failed) attempts so far
         self.timeouts = 0
+
+    def done(self, value: Any, job_s: float) -> "_Outcome":
+        """The outcome of an attempt that returned ``value``."""
+        return _Outcome(
+            index=self.index, attempts=self.attempts + 1, timeouts=self.timeouts,
+            value=value, job_s=job_s,
+        )
+
+    def failed(
+        self, policy: RetryPolicy, error_type: str, message: str, transient: bool,
+        timed_out: bool = False, worker_crash: bool = False,
+    ) -> Optional["_Outcome"]:
+        """Charge a failed attempt; ``None`` while ``policy`` retries the job,
+        else its final outcome."""
+        self.attempts += 1
+        if timed_out:
+            self.timeouts += 1
+        if transient and self.attempts < policy.max_attempts:
+            return None
+        failure = JobFailure.for_job(
+            self.job, self.attempts, error_type, message, transient, timed_out,
+            worker_crash,
+        )
+        return _Outcome(
+            index=self.index, attempts=self.attempts, timeouts=self.timeouts,
+            failure=failure,
+        )
 
 
 @dataclass
@@ -355,28 +413,6 @@ class _Outcome:
     job_s: Optional[float] = 0.0
     failure: Optional[JobFailure] = None
     cached: bool = False
-
-
-def _failure_from_parts(
-    job: JobSpec,
-    attempts: int,
-    error_type: str,
-    message: str,
-    transient: bool,
-    timed_out: bool = False,
-    worker_crash: bool = False,
-) -> JobFailure:
-    return JobFailure(
-        job_hash=job.content_hash(),
-        label=job.label,
-        fn=job.fn,
-        error_type=error_type,
-        message=message,
-        attempts=attempts,
-        transient=transient,
-        timed_out=timed_out,
-        worker_crash=worker_crash,
-    )
 
 
 # -- pool worker ----------------------------------------------------------
@@ -399,18 +435,7 @@ def _pool_worker(worker_id: int, task_q: Any, result_q: Any) -> None:
             value = _attempt(job, attempt)
             blob = pickle.dumps(value)
         except Exception as exc:  # noqa: BLE001 - relayed to the supervisor
-            result_q.put(
-                (
-                    "err",
-                    worker_id,
-                    index,
-                    type(exc).__name__,
-                    str(exc),
-                    is_transient(exc),
-                    isinstance(exc, JobTimeout),
-                    time.perf_counter() - start,
-                )
-            )
+            result_q.put(("err", worker_id, index, _classify(exc)))
         else:
             result_q.put(("ok", worker_id, index, blob, time.perf_counter() - start))
 
@@ -685,10 +710,8 @@ class Executor:
                     yield self._serial_outcome(_Task(index, job))
                 continue
             job_s = (time.perf_counter() - start) / len(block)
-            for (index, _), value in zip(block, values):
-                yield _Outcome(
-                    index=index, attempts=1, timeouts=0, value=value, job_s=job_s
-                )
+            for (index, job), value in zip(block, values):
+                yield _Task(index, job).done(value, job_s)
 
     # -- broker path ------------------------------------------------------
 
@@ -758,36 +781,14 @@ class Executor:
             except KeyboardInterrupt:
                 raise  # user abort is not a job failure
             except Exception as exc:  # noqa: BLE001 - classified below
-                task.attempts += 1
-                if isinstance(exc, JobTimeout):
-                    task.timeouts += 1
-                if is_transient(exc) and task.attempts < policy.max_attempts:
-                    backoff = policy.backoff_for(task.attempts)
-                    if backoff > 0.0:
-                        time.sleep(backoff)
-                    continue
-                return _Outcome(
-                    index=task.index,
-                    attempts=task.attempts,
-                    timeouts=task.timeouts,
-                    failure=_failure_from_parts(
-                        task.job,
-                        task.attempts,
-                        type(exc).__name__,
-                        str(exc),
-                        is_transient(exc),
-                        timed_out=isinstance(exc, JobTimeout),
-                        worker_crash=isinstance(exc, WorkerCrash),
-                    ),
-                )
+                outcome = task.failed(policy, *_classify(exc))
+                if outcome is not None:
+                    return outcome
+                backoff = policy.backoff_for(task.attempts)
+                if backoff > 0.0:
+                    time.sleep(backoff)
             else:
-                return _Outcome(
-                    index=task.index,
-                    attempts=task.attempts + 1,
-                    timeouts=task.timeouts,
-                    value=value,
-                    job_s=time.perf_counter() - start,
-                )
+                return task.done(value, time.perf_counter() - start)
 
     # -- pooled path ------------------------------------------------------
 
@@ -925,34 +926,19 @@ class Executor:
         worker.deadline = None
         if kind == "ok":
             _, _, _, blob, job_s = msg
-            return _Outcome(
-                index=task.index,
-                attempts=task.attempts + 1,
-                timeouts=task.timeouts,
-                value=pickle.loads(blob),
-                job_s=job_s,
-            )
-        _, _, _, error_type, message, transient, was_timeout, _job_s = msg
-        task.attempts += 1
-        if was_timeout:
-            task.timeouts += 1
-        if transient and task.attempts < self.retry.max_attempts:
-            delayed.append(
-                (
-                    time.perf_counter() + self.retry.backoff_for(task.attempts),
-                    task,
-                )
-            )
-            return None
-        return _Outcome(
-            index=task.index,
-            attempts=task.attempts,
-            timeouts=task.timeouts,
-            failure=_failure_from_parts(
-                task.job, task.attempts, error_type, message, transient,
-                timed_out=was_timeout,
-            ),
-        )
+            return task.done(pickle.loads(blob), job_s)
+        return self._charge(task, delayed, *msg[3])
+
+    def _charge(
+        self, task: _Task, delayed: List[Tuple[float, _Task]], *failure: Any,
+        **flags: Any,
+    ) -> Optional[_Outcome]:
+        """:meth:`_Task.failed`, queueing the retry while attempts remain."""
+        outcome = task.failed(self.retry, *failure, **flags)
+        if outcome is None:
+            due = time.perf_counter() + self.retry.backoff_for(task.attempts)
+            delayed.append((due, task))
+        return outcome
 
     def _reap_worker(
         self,
@@ -968,27 +954,14 @@ class Executor:
             # Per-job timeout: reclaim the worker, charge the attempt.
             worker.kill()
             del workers[worker_id]
-            task.attempts += 1
-            task.timeouts += 1
-            if task.attempts < self.retry.max_attempts:
-                delayed.append((now + self.retry.backoff_for(task.attempts), task))
-                return None
             job = task.job
-            return _Outcome(
-                index=task.index,
-                attempts=task.attempts,
-                timeouts=task.timeouts,
-                failure=_failure_from_parts(
-                    job,
-                    task.attempts,
-                    JobTimeout.__name__,
-                    f"job {job.label or job.content_hash()[:12]} "
-                    f"[{job.content_hash()[:12]}] exceeded the "
-                    f"{self.retry.timeout_s:g} s per-attempt timeout; "
-                    f"worker killed",
-                    transient=True,
-                    timed_out=True,
-                ),
+            return self._charge(
+                task, delayed, JobTimeout.__name__,
+                f"job {job.label or job.content_hash()[:12]} "
+                f"[{job.content_hash()[:12]}] exceeded the "
+                f"{self.retry.timeout_s:g} s per-attempt timeout; "
+                f"worker killed",
+                transient=True, timed_out=True,
             )
         if worker.proc.is_alive():
             return None
@@ -997,25 +970,13 @@ class Executor:
         del workers[worker_id]
         if task is None:
             return None  # died idle; replacement handled by the caller
-        task.attempts += 1
-        if task.attempts < self.retry.max_attempts:
-            delayed.append((now + self.retry.backoff_for(task.attempts), task))
-            return None
         job = task.job
-        return _Outcome(
-            index=task.index,
-            attempts=task.attempts,
-            timeouts=task.timeouts,
-            failure=_failure_from_parts(
-                job,
-                task.attempts,
-                WorkerCrash.__name__,
-                f"worker died (exit code {exitcode}) while running "
-                f"{job.label or job.content_hash()[:12]} "
-                f"[{job.content_hash()[:12]}]",
-                transient=True,
-                worker_crash=True,
-            ),
+        return self._charge(
+            task, delayed, WorkerCrash.__name__,
+            f"worker died (exit code {exitcode}) while running "
+            f"{job.label or job.content_hash()[:12]} "
+            f"[{job.content_hash()[:12]}]",
+            transient=True, worker_crash=True,
         )
 
     @staticmethod

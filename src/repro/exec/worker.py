@@ -42,10 +42,10 @@ from typing import Any, List, Optional
 
 from repro.exec.cache import ResultCache
 from repro.exec.executor import (
+    JobFailure,
     JobTimeout,
     RetryPolicy,
     _attempt,
-    _failure_from_parts,
     _watchdog_attempt,
     check_polling,
     is_transient,
@@ -217,7 +217,7 @@ class Worker:
     def _push_failure(
         self, lease: Lease, exc: Exception, report: WorkerReport
     ) -> None:
-        failure = _failure_from_parts(
+        failure = JobFailure.for_job(
             lease.job,
             attempts=lease.attempt + 1,
             error_type=type(exc).__name__,

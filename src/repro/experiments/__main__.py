@@ -26,7 +26,7 @@ from repro.exec.flags import add_flags, cache_from
 from repro.experiments import FULL_SCALE, SMOKE_SCALE
 from repro.experiments import fig3, fig5, fig6, table1, table2, table3, table4
 from repro.obs import ProgressLine
-from repro.sim.__main__ import CACHE_ACTIONS, cache_command
+from repro.sim.__main__ import CACHE_ACTIONS, cache_command, failure_line
 
 #: Each experiment's ``run`` and the function that renders its result.
 #: Every ``run`` takes the shared executor knobs: a worker-pool size, an
@@ -94,7 +94,11 @@ def main(argv=None) -> int:
 
 
 def _run(names, args) -> int:
-    """Run and print each experiment of ``names``, in order."""
+    """Run and print each experiment of ``names``, in order.
+
+    Returns 1 when a campaign lost missions (``--keep-going``): each
+    gets a ``FAILED mission`` line after its experiment's output.
+    """
     scale = FULL_SCALE if args.full else SMOKE_SCALE
     cache = cache_from(args)
     retry = RetryPolicy(max_attempts=args.retries, timeout_s=args.timeout)
@@ -107,6 +111,7 @@ def _run(names, args) -> int:
                 f"{', '.join(unsharded)} run in-process",
                 file=sys.stderr,
             )
+    lost = 0
     try:
         for name in names:
             start = time.time()
@@ -118,12 +123,16 @@ def _run(names, args) -> int:
                 knobs.update(keep_going=args.keep_going, broker=broker)
             run, render = _EXPERIMENTS[name]
             try:
-                output = render(run(scale, **knobs))
+                result = run(scale, **knobs)
+                output = render(result)
             finally:
                 if line is not None:
                     line.finish()
             print(f"\n===== {name} ({time.time() - start:.0f}s) =====")
             print(output)
+            for failure in result.failures if name in _CAMPAIGNS else ():
+                print(failure_line(failure))
+                lost += 1
             if cache is not None:
                 print(
                     f"[cache: {cache.hits - hits} hits, "
@@ -132,7 +141,7 @@ def _run(names, args) -> int:
     finally:
         if broker is not None:
             broker.close()
-    return 0
+    return 1 if lost else 0
 
 
 if __name__ == "__main__":

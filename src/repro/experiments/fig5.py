@@ -6,8 +6,8 @@ each, reporting the mean coverage percentage -- the paper's bar chart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec import Broker, ProgressCallback, ResultCache, RetryPolicy
 from repro.experiments.config import ExperimentScale, default_scale
@@ -25,6 +25,7 @@ class Fig5Result:
     stddev: Dict[Tuple[str, float], float]
     n_runs: int
     scale_name: str
+    failures: List[dict] = field(default_factory=list)  #: the campaign's lost missions
 
     def best_configuration(self) -> Tuple[str, float]:
         """(policy, speed) with the highest mean coverage."""
@@ -64,10 +65,12 @@ def run(
         stddev={key: stat.std for key, stat in agg.items()},
         n_runs=scale.n_runs,
         scale_name=scale.name,
+        failures=result.failures,
     )
 
 
 def format_table(result: Fig5Result) -> str:
+    """The coverage table; a configuration without a surviving run reads ``-``."""
     speeds = sorted({s for (_, s) in result.coverage})
     headers = ["Policy"] + [f"{s:g} m/s" for s in speeds]
     rows = []
@@ -76,6 +79,8 @@ def format_table(result: Fig5Result) -> str:
             [name]
             + [
                 f"{result.coverage[(name, s)]:.0%} (±{result.stddev[(name, s)]:.0%})"
+                if (name, s) in result.coverage
+                else "-"
                 for s in speeds
             ]
         )

@@ -7,7 +7,7 @@ detection timeline of the six objects for the best run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -16,10 +16,10 @@ from repro.exec import Broker, ProgressCallback, ResultCache, RetryPolicy
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_series
 from repro.mapping.coverage import CoverageSeries
-from repro.mission.closed_loop import SearchResult
 from repro.mission.detector_model import DetectorOperatingPoint
 from repro.sim import (
     Campaign,
+    MissionRecord,
     OperatingPointSpec,
     get_scenario,
     paper_operating_point_spec,
@@ -32,9 +32,10 @@ class Fig6Result:
     grid_times: np.ndarray
     mean_coverage: np.ndarray
     var_coverage: np.ndarray
-    best_run: SearchResult  #: the run with the highest detection rate
-    runs: List[SearchResult]
+    best_run: Optional[MissionRecord]  #: highest detection rate; None if all lost
+    runs: List[MissionRecord]
     scale_name: str
+    failures: List[dict] = field(default_factory=list)  #: the campaign's lost missions
 
 
 def run(
@@ -72,15 +73,18 @@ def run(
         campaign, workers=workers, cache=cache, exec_progress=progress,
         retry=retry, keep_going=keep_going, broker=broker,
     )
-    runs: List[SearchResult] = [r.to_search_result() for r in result.records]
+    runs = result.records
     grid_times = np.linspace(0.0, scale.flight_time_s, 61)
-    mean, var = CoverageSeries.mean_and_variance(
-        [r.series for r in runs], grid_times
-    )
-    best = max(
-        runs,
-        key=lambda r: (r.detection_rate, -(r.time_to_full_detection() or np.inf)),
-    )
+    mean = var = np.empty(0)
+    best = None
+    if runs:
+        mean, var = CoverageSeries.mean_and_variance(
+            [r.build_series() for r in runs], grid_times
+        )
+        best = max(
+            runs,
+            key=lambda r: (r.detection_rate, -(r.time_to_full_detection() or np.inf)),
+        )
     return Fig6Result(
         grid_times=grid_times,
         mean_coverage=mean,
@@ -88,13 +92,20 @@ def run(
         best_run=best,
         runs=runs,
         scale_name=scale.name,
+        failures=result.failures,
     )
 
 
 def format_figure(result: Fig6Result) -> str:
-    lines = [
+    title = (
         f"Fig. 6 (scale={result.scale_name}, {len(result.runs)} runs): "
-        "pseudo-random @ 0.5 m/s with SSD-MbV2-1.0",
+        "pseudo-random @ 0.5 m/s with SSD-MbV2-1.0"
+    )
+    best = result.best_run
+    if best is None:
+        return f"{title}\nno flight survived: no figure"
+    lines = [
+        title,
         ascii_series(
             result.grid_times.tolist(),
             result.mean_coverage.tolist(),
@@ -102,14 +113,13 @@ def format_figure(result: Fig6Result) -> str:
         ),
         f"final coverage: {result.mean_coverage[-1]:.0%} "
         f"(variance {result.var_coverage[-1]:.1%})",
-        f"best-run detection rate: {result.best_run.detection_rate:.0%}",
+        f"best-run detection rate: {best.detection_rate:.0%}",
     ]
-    for event in result.best_run.events:
+    for name, object_class, time_s, distance_m in best.events:
         lines.append(
-            f"  {event.time_s:6.1f} s  {event.object_name} "
-            f"({event.object_class}) at {event.distance_m:.2f} m"
+            f"  {time_s:6.1f} s  {name} ({object_class}) at {distance_m:.2f} m"
         )
-    full = result.best_run.time_to_full_detection()
+    full = best.time_to_full_detection()
     if full is not None:
         lines.append(f"all objects detected in {full:.0f} s")
     return "\n".join(lines)

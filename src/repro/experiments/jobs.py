@@ -395,10 +395,6 @@ def fig3_job(policy: str, speed: float, flight_time_s: float, seed: int) -> JobS
     )
 
 
-#: Worklists, for introspection/tests: every job kind this module owns.
-JOB_KINDS = ("train_width", "deployment_plan", "explore_policy")
-
-
 def table1_jobs(scale: ExperimentScale, seed: int) -> List[JobSpec]:
     """One training job per configured width."""
     return [table1_job(w, scale, seed) for w in scale.widths]

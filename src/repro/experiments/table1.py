@@ -56,13 +56,6 @@ class Table1Result:
     int8_detectors: Dict[float, SSDDetector]
     scale_name: str
 
-    def map_int8_himax(self) -> Dict[float, float]:
-        """The int8 onboard-domain mAPs (feeds the Table III simulation)."""
-        for row in self.rows:
-            if row.format == "int8" and row.finetuned:
-                return dict(row.map_by_width)
-        return {}
-
 
 def run(
     scale: Optional[ExperimentScale] = None,

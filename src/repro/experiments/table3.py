@@ -8,8 +8,8 @@ fed by the Table I/II characteristics (mAP, FPS) of each SSD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec import Broker, ProgressCallback, ResultCache, RetryPolicy
 from repro.experiments.config import ExperimentScale, default_scale
@@ -30,6 +30,7 @@ class Table3Result:
     stddev: Dict[Tuple[str, str, float], float]
     n_runs: int
     scale_name: str
+    failures: List[dict] = field(default_factory=list)  #: the campaign's lost missions
 
     def best_configuration(self) -> Tuple[str, str, float]:
         return max(self.rates, key=self.rates.get)
@@ -106,10 +107,12 @@ def run(
         stddev={key: stat.std for key, stat in agg.items()},
         n_runs=scale.n_runs,
         scale_name=scale.name,
+        failures=result.failures,
     )
 
 
 def format_table(result: Table3Result) -> str:
+    """The detection-rate table; a configuration without a surviving run reads ``-``."""
     widths = sorted({w for (w, _, _) in result.rates}, key=float, reverse=True)
     speeds = sorted({s for (_, _, s) in result.rates})
     headers = ["SSD", "Speed [m/s]"] + list(POLICY_NAMES)
@@ -120,6 +123,8 @@ def format_table(result: Table3Result) -> str:
                 [f"{width}x", f"{speed:g}"]
                 + [
                     f"{result.rates[(width, p, speed)]:.0%}"
+                    if (width, p, speed) in result.rates
+                    else "-"
                     for p in POLICY_NAMES
                 ]
             )

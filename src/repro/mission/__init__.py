@@ -1,19 +1,14 @@
 """Mission runners: exploration-only and closed-loop search, one tick loop."""
 
-from repro.mission.explorer import ExplorationMission, ExplorationResult
+from repro.mission.explorer import ExplorationMission
 from repro.mission.detector_model import CalibratedDetectorModel, DetectorOperatingPoint
-from repro.mission.closed_loop import (
-    ClosedLoopMission,
-    DetectionEvent,
-    SearchResult,
-)
+from repro.mission.closed_loop import ClosedLoopMission, DetectionEvent, FlightResult
 
 __all__ = [
     "ExplorationMission",
-    "ExplorationResult",
     "CalibratedDetectorModel",
     "DetectorOperatingPoint",
     "ClosedLoopMission",
     "DetectionEvent",
-    "SearchResult",
+    "FlightResult",
 ]

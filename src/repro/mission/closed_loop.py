@@ -17,14 +17,14 @@ from repro.drone.crazyflie import CrazyflieConfig
 from repro.errors import MissionError
 from repro.geometry.vec import Vec2
 from repro.mission.detector_model import DetectionChannel, DetectorOperatingPoint
-from repro.mission.loop import DetectionEvent, SearchResult, fly
+from repro.mission.loop import DetectionEvent, FlightResult, fly
 from repro.obs import MissionTrace
 from repro.policies.base import ExplorationPolicy
 from repro.seeding import SeedLike
 from repro.world.objects import SceneObject
 from repro.world.room import Room
 
-__all__ = ["ClosedLoopMission", "DetectionEvent", "SearchResult"]
+__all__ = ["ClosedLoopMission", "DetectionEvent", "FlightResult"]
 
 
 class ClosedLoopMission:
@@ -76,7 +76,7 @@ class ClosedLoopMission:
         self.record = record
         self.last_trace: Optional[MissionTrace] = None
 
-    def run(self, seed: SeedLike = None) -> SearchResult:
+    def run(self, seed: SeedLike = None) -> FlightResult:
         """Execute one flight; fully reproducible given ``seed``.
 
         Args:

@@ -13,7 +13,7 @@ from typing import Optional
 from repro.drone.crazyflie import CrazyflieConfig
 from repro.errors import MissionError
 from repro.geometry.vec import Vec2
-from repro.mission.loop import ExplorationResult, fly
+from repro.mission.loop import FlightResult, fly
 from repro.obs import MissionTrace
 from repro.policies.base import ExplorationPolicy
 from repro.seeding import SeedLike
@@ -60,7 +60,7 @@ class ExplorationMission:
         self.record = record
         self.last_trace: Optional[MissionTrace] = None
 
-    def run(self, seed: SeedLike = None) -> ExplorationResult:
+    def run(self, seed: SeedLike = None) -> FlightResult:
         """Execute one flight and return its statistics.
 
         Args:

@@ -12,7 +12,7 @@ wrapping the loop's bound callables in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,48 +40,33 @@ class DetectionEvent:
 
 
 @dataclass
-class ExplorationResult:
-    """Outcome of one exploration flight.
+class FlightResult:
+    """Outcome of one flight, exploration-only or closed-loop search.
 
     ``coverage`` is normalized by the grid cells *reachable* from the
     start pose (free space connected to it), so a perfect sweep reports
     1.0 on any world; ``coverage_raw`` keeps the historical
     visited-over-all-cells fraction, which undercounts on worlds whose
     grid has cells inside obstacles or sealed pockets.
+
+    An exploration flight leaves the detection fields empty. The fleet
+    stepper keeps only counters, so its results carry no ``grid`` or
+    ``samples``.
     """
 
     coverage: float  #: fraction of reachable free-space cells visited, [0, 1]
-    grid: OccupancyGrid  #: final occupancy grid
     series: CoverageSeries  #: coverage over time
     collisions: int  #: control ticks with blocked motion
     flight_time_s: float  #: simulated flight duration
     distance_flown_m: float  #: integrated path length
-    samples: list = None  #: mocap trajectory (:class:`TrackedSample` list)
     coverage_raw: float = 0.0  #: fraction of all grid cells visited, [0, 1]
     reachable_cells: int = 0  #: grid cells reachable from the start pose
     grid_cells: int = 0  #: total grid cells (the coverage_raw denominator)
-
-
-@dataclass
-class SearchResult:
-    """Outcome of one closed-loop run.
-
-    ``coverage`` is normalized by the grid cells reachable from the
-    start pose (see :class:`ExplorationResult`); ``coverage_raw`` keeps
-    the historical all-cells fraction.
-    """
-
-    detection_rate: float  #: detected objects / placed objects
+    grid: Optional[OccupancyGrid] = None  #: final occupancy grid
+    samples: Optional[list] = None  #: mocap trajectory (:class:`TrackedSample` list)
+    detection_rate: float = 0.0  #: detected objects / placed objects
     events: List[DetectionEvent] = field(default_factory=list)
-    coverage: float = 0.0  #: fraction of reachable free-space cells visited
-    series: Optional[CoverageSeries] = None
-    frames_processed: int = 0
-    collisions: int = 0
-    distance_flown_m: float = 0.0  #: integrated path length
-    samples: Optional[list] = None  #: mocap trajectory for visualization
-    coverage_raw: float = 0.0  #: fraction of all grid cells visited
-    reachable_cells: int = 0  #: grid cells reachable from the start pose
-    grid_cells: int = 0  #: total grid cells (the coverage_raw denominator)
+    frames_processed: int = 0  #: camera frames the detector consumed
 
     def time_to_full_detection(self) -> Optional[float]:
         """Time of the last first-detection if every object was found."""
@@ -102,14 +87,14 @@ def fly(
     channel: Optional[DetectionChannel] = None,
     fps: float = 0.0,
     record: bool = False,
-) -> Tuple[Union[ExplorationResult, SearchResult], Optional[MissionTrace]]:
+) -> Tuple[FlightResult, Optional[MissionTrace]]:
     """Set up the drone and fly one mission; returns ``(result, trace)``.
 
     Sensors, policy and detector draw from independent children of
     ``seed``. Without a detection ``channel`` the camera stays off and
-    the result is an :class:`ExplorationResult`; with one, frames of
-    ``objects`` are taken at the detector's ``fps`` and the result is a
-    :class:`SearchResult`. The trace is ``None`` unless ``record``.
+    the result's detection fields stay empty; with one, frames of
+    ``objects`` are taken at the detector's ``fps``. The trace is
+    ``None`` unless ``record``.
     """
     drone_stream, policy_stream, detector_stream = spawn_streams(seed, 3)
     drone = Crazyflie(
@@ -176,33 +161,35 @@ def fly(
                 state, estimate, setpoint, reading, drone.dynamics.collision_count
             )
 
-    outcome = dict(
+    events = sorted(first_detection.values(), key=lambda e: e.time_s)
+    result = FlightResult(
         coverage=tracker.coverage(),
         series=series,
         collisions=drone.dynamics.collision_count,
+        flight_time_s=flight_time_s,
         distance_flown_m=distance,
-        samples=tracker.samples,
         coverage_raw=tracker.coverage_raw(),
         reachable_cells=tracker.reachable_cells,
         grid_cells=tracker.grid.n_cells,
+        grid=tracker.grid,
+        samples=tracker.samples,
+        detection_rate=0.0 if channel is None else len(events) / len(objects),
+        events=events,
+        frames_processed=frames,
     )
-    final = {k: v for k, v in outcome.items() if k not in ("series", "samples")}
-    final["flight_time_s"] = flight_time_s
-    if channel is None:
-        result: Union[ExplorationResult, SearchResult] = ExplorationResult(
-            grid=tracker.grid, flight_time_s=flight_time_s, **outcome
+    if recorder is None:
+        return result, None
+    final = {
+        k: getattr(result, k)
+        for k in (
+            "coverage", "collisions", "distance_flown_m", "coverage_raw",
+            "reachable_cells", "grid_cells", "flight_time_s",
         )
-    else:
-        events = sorted(first_detection.values(), key=lambda e: e.time_s)
-        result = SearchResult(
-            detection_rate=len(events) / len(objects),
-            events=events,
-            frames_processed=frames,
-            **outcome,
-        )
+    }
+    if channel is not None:
         final.update(
             detection_rate=result.detection_rate,
-            frames_processed=frames,
+            frames_processed=result.frames_processed,
             n_objects=len(objects),
         )
-    return result, None if recorder is None else recorder.finish(final)
+    return result, recorder.finish(final)

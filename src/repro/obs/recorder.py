@@ -18,15 +18,12 @@ contract deliberately ignores (see :mod:`repro.obs.trace`). The mission
 tick loop (:func:`repro.mission.loop.fly`) wraps its bound callables --
 ranger read, policy update, drone step, mocap, camera, detector -- in
 :meth:`FlightRecorder.timed` when recording, so each call adds its own
-wall clock to its phase and the unrecorded loop times nothing. The
-:meth:`FlightRecorder.phase` context manager offers the same
-accounting for a block of code.
+wall clock to its phase and the unrecorded loop times nothing.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.obs.trace import TICK_COLUMNS, MissionTrace
@@ -41,10 +38,11 @@ class FlightRecorder:
 
     Example:
         >>> rec = FlightRecorder("explore")
-        >>> with rec.phase("policy"):
-        ...     pass
-        >>> rec.n_ticks
-        0
+        >>> update = rec.timed("policy", abs)
+        >>> update(-2)
+        2
+        >>> sorted(rec.phases), rec.n_ticks
+        (['policy'], 0)
     """
 
     def __init__(self, kind: str):
@@ -127,20 +125,6 @@ class FlightRecorder:
             return result
 
         return timed_call
-
-    @contextmanager
-    def phase(self, name: str):
-        """Accumulate wall-clock seconds into phase ``name``.
-
-        Usable as ``with recorder.phase("policy"): ...`` around each
-        stage; repeated entries sum.
-        """
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.phases[name] = self.phases.get(name, 0.0) + elapsed
 
     def finish(self, final: Dict[str, Any]) -> MissionTrace:
         """Seal the recording into a :class:`MissionTrace`.

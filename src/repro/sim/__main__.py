@@ -245,6 +245,15 @@ def cache_command(args) -> int:
     return 0
 
 
+def failure_line(failure: dict) -> str:
+    """The report line of one lost mission (a campaign ``failures`` entry)."""
+    return (
+        f"FAILED mission {failure['index']} ({failure['label']}): "
+        f"{failure['error_type']}: {failure['message']} "
+        f"[{failure['attempts']} attempt(s)]"
+    )
+
+
 def _cmd_replay(args) -> int:
     from repro.obs.replay import replay_mission, replay_target_hashes
 
@@ -392,11 +401,7 @@ def _cmd_run(args) -> int:
             f"{result.execution.timed_out} timeouts"
         )
     for failure in result.failures:
-        print(
-            f"FAILED mission {failure['index']} ({failure['label']}): "
-            f"{failure['error_type']}: {failure['message']} "
-            f"[{failure['attempts']} attempt(s)]"
-        )
+        print(failure_line(failure))
     if args.record:
         trace_dir = cache.directory if cache is not None else default_cache_dir()
         tstats = TraceStore(trace_dir).stats()

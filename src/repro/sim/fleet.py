@@ -45,7 +45,7 @@ tick.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, cast
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +58,8 @@ from repro.geometry.vec import TWO_PI, Vec2, normalize_angle
 from repro.mapping.coverage import CoverageSeries
 from repro.mapping.mocap import MOCAP_RATE_HZ
 from repro.mapping.occupancy import OccupancyGrid
-from repro.mission.closed_loop import DetectionEvent, SearchResult
 from repro.mission.detector_model import CalibratedDetectorModel
-from repro.mission.explorer import ExplorationResult
+from repro.mission.loop import DetectionEvent, FlightResult
 from repro.policies import ExplorationPolicy, PolicyConfig, make_policy
 from repro.seeding import spawn_streams
 from repro.sensors.camera import HimaxCamera
@@ -288,39 +287,21 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             np.array([times_post[kk] for kk in sampled], dtype=np.float64),
             cov_hist[i, sampled],
         )
-        coverage = int(vreach[i]) / reach_cells
-        coverage_raw = int(vcount[i]) / ncells
-        if kind == "explore":
-            explo = ExplorationResult(
-                coverage=coverage,
-                # The grid itself is never consumed by the record
-                # mapping; the fleet keeps only the counters.
-                grid=cast(OccupancyGrid, None),
-                series=series,
-                collisions=collisions[i],
-                flight_time_s=spec.flight_time_s,
-                distance_flown_m=distance[i],
-                samples=None,
-                coverage_raw=coverage_raw,
-                reachable_cells=reach_cells,
-                grid_cells=ncells,
-            )
-            return MissionRecord.from_exploration(spec, explo)
         events = sorted(first_det[i].values(), key=lambda e: e.time_s)
-        search = SearchResult(
-            detection_rate=len(events) / len(objects),
-            events=events,
-            coverage=coverage,
+        result = FlightResult(
+            coverage=int(vreach[i]) / reach_cells,
             series=series,
-            frames_processed=frames[i],
             collisions=collisions[i],
+            flight_time_s=spec.flight_time_s,
             distance_flown_m=distance[i],
-            samples=None,
-            coverage_raw=coverage_raw,
+            coverage_raw=int(vcount[i]) / ncells,
             reachable_cells=reach_cells,
             grid_cells=ncells,
+            detection_rate=len(events) / len(objects) if kind == "search" else 0.0,
+            events=events,
+            frames_processed=frames[i],
         )
-        return MissionRecord.from_search(spec, search)
+        return MissionRecord.from_flight(spec, result)
 
     for k in range(n_max):
         # -- Multi-ranger refresh (shared 20 Hz schedule) -------------------

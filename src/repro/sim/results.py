@@ -22,8 +22,7 @@ from repro import schemas
 
 from repro.errors import SimError
 from repro.mapping.coverage import CoverageSeries
-from repro.mission.closed_loop import DetectionEvent, SearchResult
-from repro.mission.explorer import ExplorationResult
+from repro.mission.loop import FlightResult
 
 #: Scalar per-mission columns exposed by :meth:`CampaignResult.columns`.
 SCALAR_COLUMNS = (
@@ -103,36 +102,9 @@ class MissionRecord:
             series.append(t, c)
         return series
 
-    def to_search_result(self) -> SearchResult:
-        """Rebuild a :class:`~repro.mission.closed_loop.SearchResult`.
-
-        The trajectory samples and occupancy grid are not persisted, so
-        those fields come back ``None``.
-        """
-        return SearchResult(
-            detection_rate=self.detection_rate,
-            events=[
-                DetectionEvent(
-                    object_name=name,
-                    object_class=cls,
-                    time_s=time_s,
-                    distance_m=distance_m,
-                )
-                for name, cls, time_s, distance_m in self.events
-            ],
-            coverage=self.coverage,
-            series=self.build_series(),
-            frames_processed=self.frames_processed,
-            collisions=self.collisions,
-            distance_flown_m=self.distance_flown_m,
-            coverage_raw=self.coverage_raw,
-            reachable_cells=self.reachable_cells,
-            grid_cells=self.grid_cells,
-        )
-
     @classmethod
-    def from_search(cls, spec, result: SearchResult) -> "MissionRecord":
-        """Record a closed-loop search outcome for mission ``spec``."""
+    def from_flight(cls, spec, result: FlightResult) -> "MissionRecord":
+        """Record mission ``spec``'s flight; explore records count no objects."""
         series = result.series
         return cls(
             index=spec.index,
@@ -147,7 +119,7 @@ class MissionRecord:
             coverage=result.coverage,
             collisions=result.collisions,
             frames_processed=result.frames_processed,
-            n_objects=len(spec.scenario.objects),
+            n_objects=len(spec.scenario.objects) if spec.kind == "search" else 0,
             distance_flown_m=result.distance_flown_m,
             coverage_raw=result.coverage_raw,
             reachable_cells=result.reachable_cells,
@@ -156,33 +128,8 @@ class MissionRecord:
                 (e.object_name, e.object_class, e.time_s, e.distance_m)
                 for e in result.events
             ),
-            series_times=() if series is None else tuple(series.times.tolist()),
-            series_coverage=() if series is None else tuple(series.coverage.tolist()),
-        )
-
-    @classmethod
-    def from_exploration(cls, spec, result: ExplorationResult) -> "MissionRecord":
-        """Record an exploration-only outcome for mission ``spec``."""
-        return cls(
-            index=spec.index,
-            scenario=spec.scenario.name,
-            kind=spec.kind,
-            policy=spec.policy,
-            speed=spec.speed,
-            ssd_width=spec.ssd_width,
-            run_idx=spec.run_idx,
-            flight_time_s=spec.flight_time_s,
-            detection_rate=0.0,
-            coverage=result.coverage,
-            collisions=result.collisions,
-            frames_processed=0,
-            n_objects=0,
-            distance_flown_m=result.distance_flown_m,
-            coverage_raw=result.coverage_raw,
-            reachable_cells=result.reachable_cells,
-            grid_cells=result.grid_cells,
-            series_times=tuple(result.series.times.tolist()),
-            series_coverage=tuple(result.series.coverage.tolist()),
+            series_times=tuple(series.times.tolist()),
+            series_coverage=tuple(series.coverage.tolist()),
         )
 
     def to_dict(self) -> dict:
@@ -398,15 +345,28 @@ class CampaignResult:
         Any ``repro.sim.campaign-result/*`` schema version is accepted;
         records from pre-v2 files backfill the reachable-coverage
         columns (see :meth:`MissionRecord.from_dict`).
+
+        Raises:
+            SimError: naming ``path`` and the problem, when the file
+                cannot be read, is not JSON, is not a campaign result,
+                or lacks a field (or holds an unknown one).
         """
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        schema = data.get("schema", "")
-        if not schema.startswith(schemas.family(RESULT_SCHEMA) + "/"):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SimError(f"{path}: cannot read a campaign result ({exc})") from None
+        schema = data.get("schema", "") if isinstance(data, dict) else ""
+        if not str(schema).startswith(schemas.family(RESULT_SCHEMA) + "/"):
             raise SimError(f"{path}: not a campaign result file (schema {schema!r})")
-        return cls(
-            campaign=data["campaign"],
-            campaign_hash=data["campaign_hash"],
-            records=[MissionRecord.from_dict(r) for r in data["records"]],
-            failures=data.get("failures", ()),
-        )
+        try:
+            return cls(
+                campaign=data["campaign"],
+                campaign_hash=data["campaign_hash"],
+                records=[MissionRecord.from_dict(r) for r in data["records"]],
+                failures=data.get("failures", ()),
+            )
+        except KeyError as exc:
+            raise SimError(f"{path}: campaign result lacks {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise SimError(f"{path}: malformed campaign result ({exc})") from None

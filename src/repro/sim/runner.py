@@ -86,7 +86,6 @@ def fly_mission(
             drone_config=scenario.drone_config(),
             record=record,
         )
-        outcome = MissionRecord.from_exploration(spec, mission.run(seed=seed))
     else:
         op = spec.operating_point()
         mission = ClosedLoopMission(
@@ -100,8 +99,8 @@ def fly_mission(
             drone_config=scenario.drone_config(),
             record=record,
         )
-        outcome = MissionRecord.from_search(spec, mission.run(seed=seed))
-    return outcome, mission.last_trace
+    result = mission.run(seed=seed)
+    return MissionRecord.from_flight(spec, result), mission.last_trace
 
 
 def execute_mission(spec: MissionSpec) -> MissionRecord:

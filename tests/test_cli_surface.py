@@ -217,9 +217,58 @@ BAD_JOB_FILES = {
 }
 
 
+#: Result files ``repro.sim report`` and ``replay`` must refuse.
+_RECORD = {
+    "index": 0, "scenario": "paper-room", "kind": "search", "policy": "spiral",
+    "speed": 0.5, "ssd_width": "1.0", "run_idx": 0, "flight_time_s": 5.0,
+    "detection_rate": 0.0, "coverage": 0.1, "collisions": 0,
+    "frames_processed": 0, "n_objects": 6, "distance_flown_m": 1.0,
+}
+_RESULT = {
+    "schema": "repro.sim.campaign-result/v2", "campaign": {"name": "bad"},
+    "campaign_hash": "0" * 64,
+}
+BAD_RESULT_FILES = {
+    "not-json.json": "{not json",
+    "no-records.json": json.dumps(_RESULT),
+    "unknown-field.json": json.dumps(
+        {**_RESULT, "records": [{**_RECORD, "bogus": 1}]}
+    ),
+}
+
+
 class TestBadValues:
-    """Bad poll intervals, wait timeouts and job files end in
-    ``error: ...`` and exit 2, not in a traceback or a busy loop."""
+    """Bad poll intervals, wait timeouts, job files and result files end
+    in ``error: ...`` and exit 2, not in a traceback or a busy loop."""
+
+    @pytest.mark.parametrize(
+        "command, path, message",
+        [
+            ("report", "missing.json", "cannot read a campaign result"),
+            ("report", "not-json.json", "cannot read a campaign result"),
+            ("replay", "not-json.json", "cannot read a campaign result"),
+            ("report", "no-records.json", "campaign result lacks 'records'"),
+            ("replay", "no-records.json", "campaign result lacks 'records'"),
+            ("report", "unknown-field.json", "unexpected keyword argument 'bogus'"),
+            ("replay", "unknown-field.json", "unexpected keyword argument 'bogus'"),
+        ],
+        ids=[
+            "report-missing", "report-not-json", "replay-not-json",
+            "report-no-records", "replay-no-records", "report-unknown-field",
+            "replay-unknown-field",
+        ],
+    )
+    def test_sim_result_files(
+        self, tmp_path, capsys, monkeypatch, command, path, message
+    ):
+        for name, text in BAD_RESULT_FILES.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, path, "--cache-dir", str(tmp_path / "cache")]
+        assert sim_cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert not (tmp_path / "campaign-report.html").exists()
 
     @pytest.mark.parametrize(
         "extra, message",

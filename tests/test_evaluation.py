@@ -5,7 +5,8 @@ import pytest
 
 from repro.errors import ShapeError
 from repro.evaluation import aggregate_detection_rate, average_precision, evaluate_map
-from repro.mission.closed_loop import SearchResult
+from repro.mapping.coverage import CoverageSeries
+from repro.mission import FlightResult
 from repro.vision.ssd import Detection
 
 
@@ -94,8 +95,8 @@ class TestEvaluateMap:
 class TestDetectionRate:
     def test_aggregation(self):
         results = [
-            SearchResult(detection_rate=1.0),
-            SearchResult(detection_rate=0.5),
+            FlightResult(0.0, CoverageSeries(), 0, 1.0, 0.0, detection_rate=rate)
+            for rate in (1.0, 0.5)
         ]
         mean, std = aggregate_detection_rate(results)
         assert mean == pytest.approx(0.75)

@@ -21,11 +21,11 @@ import pytest
 from repro.errors import ExecError
 from repro.exec import (
     Broker,
+    JobFailure,
     JobSpec,
     RetryPolicy,
     Worker,
 )
-from repro.exec.executor import _failure_from_parts
 from repro.exec.faults import FAULT_KINDS
 from repro.sim import Campaign, get_scenario, run_campaign
 from repro.sim.runner import enqueue_campaign
@@ -50,14 +50,14 @@ def echo_job(token, marker_dir, sleep_s=0.0):
 
 
 def transient_failure(job, attempts=1):
-    return _failure_from_parts(
+    return JobFailure.for_job(
         job, attempts=attempts, error_type="TransientJobError",
         message="flaky", transient=True,
     )
 
 
 def permanent_failure(job, attempts=1):
-    return _failure_from_parts(
+    return JobFailure.for_job(
         job, attempts=attempts, error_type="ExecError",
         message="broken", transient=False,
     )

@@ -7,10 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from repro.exec.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec
 from repro.experiments import SMOKE_SCALE
+from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.config import quick
 from repro.experiments import fig3, fig5, fig6, table2, table3, table4
 from repro.experiments.reporting import ascii_series, ascii_table
+from repro.policies import POLICY_NAMES
 
 TINY = quick(SMOKE_SCALE, n_runs=1, flight_time_s=30.0)
 
@@ -101,6 +104,35 @@ class TestFlightExperiments:
         assert (np.diff(result.mean_coverage) >= -1e-9).all()
         text = fig6.format_figure(result)
         assert "coverage" in text
+
+
+class TestLostMissions:
+    """``--keep-going`` reports every lost mission and exits 1."""
+
+    @pytest.mark.parametrize("name", ["fig5", "fig6"])
+    def test_every_lost_mission_is_reported(self, name, monkeypatch, capsys):
+        plan = FaultPlan((FaultSpec(kind="raise", attempt=None, permanent=True),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        assert experiments_main([name, "--no-cache", "--keep-going"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [line for line in lines if line.startswith("FAILED mission ")]
+        configurations = len(POLICY_NAMES) * len(fig5.PAPER_SPEEDS)
+        per_run = configurations if name == "fig5" else 1
+        assert len(failed) == per_run * SMOKE_SCALE.n_runs
+        assert "ExecError: injected fault" in failed[0]
+
+    def test_a_configuration_without_runs_prints_a_dash(self):
+        survivors = [(p, 0.5) for p in POLICY_NAMES if p != "wall-following"]
+        result = fig5.Fig5Result(
+            coverage={key: 0.5 for key in survivors},
+            stddev={key: 0.1 for key in survivors},
+            n_runs=2,
+            scale_name="smoke",
+        )
+        rows = {line.split()[0]: line for line in fig5.format_table(result).splitlines()}
+        assert rows["wall-following"].split()[-1] == "-"
+        for policy, _ in survivors:
+            assert rows[policy].endswith("50% (±10%)")
 
 
 class TestTable1Job:

@@ -74,11 +74,11 @@ class TestRecorder:
 
     def test_phase_timer_accumulates(self):
         rec = FlightRecorder("explore")
-        with rec.phase("policy"):
-            pass
-        with rec.phase("policy"):
-            pass
-        assert rec.phases["policy"] >= 0.0
+        update = rec.timed("policy", lambda x: x + 1)
+        assert update(1) == 2
+        once = rec.phases["policy"]
+        assert update(2) == 3
+        assert rec.phases["policy"] >= once >= 0.0
         trace = rec.finish({})
         assert trace.timings["ticks"] == 0
         assert "policy" in trace.timings["phases"]

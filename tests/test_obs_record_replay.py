@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.errors import ObsError
-from repro.exec import ResultCache, json_roundtrip
+from repro.exec import ResultCache, canonical_json, json_roundtrip
 from repro.obs import TraceStore
 from repro.obs.replay import (
     campaign_hashes,
@@ -38,6 +38,12 @@ PIN_JOB_HASHES = (
 PIN_RESULT_SHA256 = (
     "9c8ba826218acce7f8ac2043c8cd72b678fc911bb884ce36924dfd8c4493ce34"
 )
+#: Result-JSON digest of the explore campaign: pins the zeroed search
+#: columns (``detection_rate``, ``frames_processed``, ``n_objects``,
+#: ``events``) of an exploration record.
+PIN_EXPLORE_RESULT_SHA256 = (
+    "6022cc6b2de43777f51db5ee1d1cebd38230356c39f03b9efb7ffd0234a85a0b"
+)
 PIN_MAZE_JOB_HASH = (
     "8060b6e313f3088647b752de09d502d9f989886a08cbb054cafdb82f2b4ea980"
 )
@@ -51,6 +57,15 @@ PIN_SEARCH_TRACE_FINGERPRINT = (
 )
 PIN_EXPLORE_TRACE_FINGERPRINT = (
     "f0dc9d5abb25ddd353a513e44641191547f1db048e8d11f47a41f1a4e0cf096a"
+)
+#: Digests of the same traces' ``final`` summaries
+#: (``canonical_json(trace.final)``), which the telemetry fingerprint
+#: does not cover.
+PIN_SEARCH_TRACE_FINAL = (
+    "dee8eb3c6d61817f36df034e596dc53a520fa9067040f48d3e4f6f2a515a7cf7"
+)
+PIN_EXPLORE_TRACE_FINAL = (
+    "02120cb6bba1fc56fc51fc2012c121ca794c29dc3a2d83c030f8d7ff634be9d7"
 )
 
 
@@ -210,10 +225,20 @@ class TestPrePRPins:
         )
         assert hashes == PIN_JOB_HASHES
 
-    def test_result_json_unchanged(self):
-        result = run_campaign(pin_campaign())
+    @pytest.mark.parametrize(
+        "campaign, pin, fleet_block",
+        [
+            (pin_campaign, PIN_RESULT_SHA256, None),
+            (pin_campaign, PIN_RESULT_SHA256, 8),
+            (explore_campaign, PIN_EXPLORE_RESULT_SHA256, None),
+            (explore_campaign, PIN_EXPLORE_RESULT_SHA256, 8),
+        ],
+        ids=["search-serial", "search-fleet", "explore-serial", "explore-fleet"],
+    )
+    def test_result_json_unchanged(self, campaign, pin, fleet_block):
+        result = run_campaign(campaign(), fleet_block=fleet_block)
         digest = hashlib.sha256(result.to_json(indent=1).encode()).hexdigest()
-        assert digest == PIN_RESULT_SHA256
+        assert digest == pin
 
     def test_generated_scenario_hash_unchanged(self):
         campaign = Campaign(
@@ -231,17 +256,19 @@ class TestPrePRPins:
         assert mission_job(spec).content_hash() == PIN_MAZE_JOB_HASH
 
     @pytest.mark.parametrize(
-        "campaign, pin",
+        "campaign, pin, final_pin",
         [
-            (pin_campaign, PIN_SEARCH_TRACE_FINGERPRINT),
-            (explore_campaign, PIN_EXPLORE_TRACE_FINGERPRINT),
+            (pin_campaign, PIN_SEARCH_TRACE_FINGERPRINT, PIN_SEARCH_TRACE_FINAL),
+            (explore_campaign, PIN_EXPLORE_TRACE_FINGERPRINT, PIN_EXPLORE_TRACE_FINAL),
         ],
         ids=["search", "explore"],
     )
-    def test_trace_fingerprint_unchanged(self, campaign, pin):
+    def test_trace_fingerprint_unchanged(self, campaign, pin, final_pin):
         spec = next(iter(campaign().missions()))
         _, trace = fly_mission(spec, record=True)
         assert trace.fingerprint() == pin
+        final = canonical_json(trace.final).encode()
+        assert hashlib.sha256(final).hexdigest() == final_pin
 
     def test_campaign_definition_roundtrips(self):
         campaign = pin_campaign()

@@ -1,6 +1,6 @@
 """Determinism regression tests for the seeded mission pipeline.
 
-The contract: identical seeds produce bit-identical ``SearchResult``
+The contract: identical seeds produce bit-identical ``FlightResult``
 outcomes (events, coverage, collisions) whether missions run serially or
 through the multiprocessing runner; distinct seeds produce different
 trajectories.
