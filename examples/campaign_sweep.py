@@ -13,7 +13,7 @@ Usage:
 import argparse
 
 from repro.experiments.reporting import ascii_table
-from repro.sim import Campaign, iter_scenarios, run_campaign
+from repro.sim import Campaign, MissionRecord, iter_scenarios, run_campaign
 
 
 def main() -> None:
@@ -40,14 +40,14 @@ def main() -> None:
         f"{campaign.campaign_hash()[:12]}"
     )
 
-    result = run_campaign(
-        campaign,
-        workers=args.workers,
-        progress=lambda done, total, rec: print(
+    def progress(done, total, job, payload, cached):
+        rec = MissionRecord.from_dict(payload)
+        print(
             f"  [{done}/{total}] {rec.scenario}/{rec.policy}: "
             f"detection {rec.detection_rate:.0%}, coverage {rec.coverage:.0%}"
-        ),
-    )
+        )
+
+    result = run_campaign(campaign, workers=args.workers, progress=progress)
 
     agg = result.aggregate(("scenario", "policy"))
     rows = [

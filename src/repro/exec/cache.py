@@ -221,23 +221,8 @@ class ResultCache:
         return value, hit
 
     def _load(self, job: JobSpec) -> Tuple[Any, bool]:
-        path = self.entry_path(job.content_hash())
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError:
-            return None, False
-        except ValueError:
-            self._quarantine(path)
-            return None, False
-        if not isinstance(data, dict):
-            self._quarantine(path)
-            return None, False
-        if data.get("schema") != CACHE_SCHEMA:
-            # A different (older/newer) layout, not corruption: leave
-            # it for whichever code version understands it.
-            return None, False
-        if data.get("job") != job.to_dict():
+        data = self.load_entry(job.content_hash())
+        if data is None or data.get("job") != job.to_dict():
             # Either a (vanishingly unlikely) hash collision or a
             # hand-edited file; refuse to serve someone else's result.
             return None, False
@@ -379,6 +364,8 @@ class ResultCache:
             self._quarantine(path)
             return None
         if data.get("schema") != CACHE_SCHEMA:
+            # A different (older/newer) layout, not corruption: leave
+            # it for whichever code version understands it.
             return None
         return data
 

@@ -84,7 +84,8 @@ def is_transient(exc: BaseException) -> bool:
 
 
 def resolve_workers(workers: Optional[int]) -> int:
-    """Normalize a worker count: ``None`` -> serial, ``0`` -> all cores.
+    """Normalize a worker count: ``None`` -> serial, ``0`` -> one worker
+    per usable core (the CPUs this process may run on).
 
     Raises:
         ExecError: for a negative count.
@@ -92,7 +93,10 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers is None:
         return 1
     if workers == 0:
-        return os.cpu_count() or 1
+        try:
+            return len(os.sched_getaffinity(0))
+        except (AttributeError, OSError):  # no affinity API on this platform
+            return os.cpu_count() or 1
     if workers < 0:
         raise ExecError(f"workers must be >= 0, got {workers}")
     return workers
@@ -468,7 +472,7 @@ class Executor:
 
     Args:
         workers: ``None``/``1`` for the serial path, ``0`` for one
-            worker per CPU core, otherwise the pool size. If no pool
+            worker per usable core, otherwise the pool size. If no pool
             worker can be started (restricted environments), or every
             worker dies and none can be replaced, the remaining jobs run
             on the serial path with a :class:`RuntimeWarning` naming

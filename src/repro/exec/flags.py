@@ -28,7 +28,8 @@ from repro.exec.cache import ResultCache, default_cache_dir
 FLAGS: Dict[str, Dict[str, Any]] = {
     "--workers": dict(
         type=int, default=None, metavar="N",
-        help="process-pool size; 0 = one worker per core (default: serial)",
+        help="process-pool size; 0 = one worker per usable core "
+        "(default: serial)",
     ),
     "--cache-dir": dict(
         default=None, metavar="DIR",

@@ -56,6 +56,7 @@ Example:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -63,7 +64,7 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import schemas
 from repro.errors import ExecError
@@ -234,91 +235,95 @@ class Broker:
         self.close()
 
     def _init_schema(self) -> None:
+        with self._write() as cur:
+            cur.execute(
+                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
+            )
+            row = cur.execute(
+                "SELECT value FROM meta WHERE key='schema'"
+            ).fetchone()
+            if row is None:
+                cur.execute(
+                    "INSERT INTO meta (key, value) VALUES ('schema', ?)",
+                    (BROKER_SCHEMA,),
+                )
+            elif row[0] != BROKER_SCHEMA:
+                raise ExecError(
+                    f"{self.path!r} was written by broker schema {row[0]!r}; "
+                    f"this code speaks {BROKER_SCHEMA!r}"
+                )
+            cur.execute(
+                """
+                CREATE TABLE IF NOT EXISTS jobs (
+                    hash TEXT PRIMARY KEY,
+                    spec TEXT NOT NULL,
+                    label TEXT NOT NULL DEFAULT '',
+                    extra TEXT NOT NULL DEFAULT '{}',
+                    state TEXT NOT NULL DEFAULT 'pending',
+                    attempts INTEGER NOT NULL DEFAULT 0,
+                    max_attempts INTEGER NOT NULL DEFAULT 1,
+                    max_reclaims INTEGER NOT NULL DEFAULT 5,
+                    reclaims INTEGER NOT NULL DEFAULT 0,
+                    timeouts INTEGER NOT NULL DEFAULT 0,
+                    completions INTEGER NOT NULL DEFAULT 0,
+                    cached INTEGER NOT NULL DEFAULT 0,
+                    worker TEXT,
+                    deadline REAL,
+                    not_before REAL NOT NULL DEFAULT 0,
+                    enqueued_at REAL NOT NULL,
+                    finished_at REAL,
+                    result TEXT
+                )
+                """
+            )
+            cur.execute(
+                "CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state)"
+            )
+            cur.execute(
+                """
+                CREATE TABLE IF NOT EXISTS leases (
+                    id INTEGER PRIMARY KEY AUTOINCREMENT,
+                    hash TEXT NOT NULL,
+                    worker TEXT NOT NULL,
+                    attempt INTEGER NOT NULL,
+                    acquired_at REAL NOT NULL,
+                    deadline REAL NOT NULL,
+                    outcome TEXT
+                )
+                """
+            )
+            cur.execute(
+                "CREATE INDEX IF NOT EXISTS idx_leases_hash ON leases(hash)"
+            )
+            cur.execute(
+                """
+                CREATE TABLE IF NOT EXISTS workers (
+                    worker TEXT PRIMARY KEY,
+                    pid INTEGER,
+                    host TEXT,
+                    started_at REAL NOT NULL,
+                    last_seen REAL NOT NULL,
+                    jobs_done INTEGER NOT NULL DEFAULT 0
+                )
+                """
+            )
+
+    @contextlib.contextmanager
+    def _write(self) -> Iterator[sqlite3.Cursor]:
+        """One immediate (write-locking) transaction under the lock.
+
+        The block commits when it ends, by a ``return`` too, and rolls
+        back when it raises; a ``COMMIT`` that fails rolls back as well.
+        """
         with self._lock:
             cur = self._conn.cursor()
             cur.execute("BEGIN IMMEDIATE")
             try:
-                cur.execute(
-                    "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-                )
-                row = cur.execute(
-                    "SELECT value FROM meta WHERE key='schema'"
-                ).fetchone()
-                if row is None:
-                    cur.execute(
-                        "INSERT INTO meta (key, value) VALUES ('schema', ?)",
-                        (BROKER_SCHEMA,),
-                    )
-                elif row[0] != BROKER_SCHEMA:
-                    raise ExecError(
-                        f"{self.path!r} was written by broker schema {row[0]!r}; "
-                        f"this code speaks {BROKER_SCHEMA!r}"
-                    )
-                cur.execute(
-                    """
-                    CREATE TABLE IF NOT EXISTS jobs (
-                        hash TEXT PRIMARY KEY,
-                        spec TEXT NOT NULL,
-                        label TEXT NOT NULL DEFAULT '',
-                        extra TEXT NOT NULL DEFAULT '{}',
-                        state TEXT NOT NULL DEFAULT 'pending',
-                        attempts INTEGER NOT NULL DEFAULT 0,
-                        max_attempts INTEGER NOT NULL DEFAULT 1,
-                        max_reclaims INTEGER NOT NULL DEFAULT 5,
-                        reclaims INTEGER NOT NULL DEFAULT 0,
-                        timeouts INTEGER NOT NULL DEFAULT 0,
-                        completions INTEGER NOT NULL DEFAULT 0,
-                        cached INTEGER NOT NULL DEFAULT 0,
-                        worker TEXT,
-                        deadline REAL,
-                        not_before REAL NOT NULL DEFAULT 0,
-                        enqueued_at REAL NOT NULL,
-                        finished_at REAL,
-                        result TEXT
-                    )
-                    """
-                )
-                cur.execute(
-                    "CREATE INDEX IF NOT EXISTS idx_jobs_state ON jobs(state)"
-                )
-                cur.execute(
-                    """
-                    CREATE TABLE IF NOT EXISTS leases (
-                        id INTEGER PRIMARY KEY AUTOINCREMENT,
-                        hash TEXT NOT NULL,
-                        worker TEXT NOT NULL,
-                        attempt INTEGER NOT NULL,
-                        acquired_at REAL NOT NULL,
-                        deadline REAL NOT NULL,
-                        outcome TEXT
-                    )
-                    """
-                )
-                cur.execute(
-                    "CREATE INDEX IF NOT EXISTS idx_leases_hash ON leases(hash)"
-                )
-                cur.execute(
-                    """
-                    CREATE TABLE IF NOT EXISTS workers (
-                        worker TEXT PRIMARY KEY,
-                        pid INTEGER,
-                        host TEXT,
-                        started_at REAL NOT NULL,
-                        last_seen REAL NOT NULL,
-                        jobs_done INTEGER NOT NULL DEFAULT 0
-                    )
-                    """
-                )
+                yield cur
                 cur.execute("COMMIT")
             except BaseException:
                 cur.execute("ROLLBACK")
                 raise
-
-    def _txn(self) -> sqlite3.Cursor:
-        """Open an immediate (write-locking) transaction; caller commits."""
-        cur = self._conn.cursor()
-        cur.execute("BEGIN IMMEDIATE")
-        return cur
 
     # -- submission -------------------------------------------------------
 
@@ -352,41 +357,35 @@ class Broker:
             now = time.time()
         policy = retry or RetryPolicy()
         submitted = duplicates = already_done = 0
-        with self._lock:
-            cur = self._txn()
-            try:
-                for job in jobs:
-                    content_hash = job.content_hash()
-                    row = cur.execute(
-                        "SELECT state FROM jobs WHERE hash=?", (content_hash,)
-                    ).fetchone()
-                    if row is not None:
-                        if row[0] == "done":
-                            already_done += 1
-                        else:
-                            duplicates += 1
-                        continue
-                    cur.execute(
-                        """
-                        INSERT INTO jobs (hash, spec, label, extra, state,
-                                          max_attempts, max_reclaims, enqueued_at)
-                        VALUES (?, ?, ?, ?, 'pending', ?, ?, ?)
-                        """,
-                        (
-                            content_hash,
-                            canonical_json(job.to_dict()),
-                            job.label,
-                            canonical_json(job.extra),
-                            policy.max_attempts,
-                            max_reclaims,
-                            now,
-                        ),
-                    )
-                    submitted += 1
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+        with self._write() as cur:
+            for job in jobs:
+                content_hash = job.content_hash()
+                row = cur.execute(
+                    "SELECT state FROM jobs WHERE hash=?", (content_hash,)
+                ).fetchone()
+                if row is not None:
+                    if row[0] == "done":
+                        already_done += 1
+                    else:
+                        duplicates += 1
+                    continue
+                cur.execute(
+                    """
+                    INSERT INTO jobs (hash, spec, label, extra, state,
+                                      max_attempts, max_reclaims, enqueued_at)
+                    VALUES (?, ?, ?, ?, 'pending', ?, ?, ?)
+                    """,
+                    (
+                        content_hash,
+                        canonical_json(job.to_dict()),
+                        job.label,
+                        canonical_json(job.extra),
+                        policy.max_attempts,
+                        max_reclaims,
+                        now,
+                    ),
+                )
+                submitted += 1
         return SubmitReport(submitted, duplicates, already_done)
 
     # -- leasing ----------------------------------------------------------
@@ -414,43 +413,36 @@ class Broker:
         if now is None:
             now = time.time()
         duration = self.lease_s if lease_s is None else float(lease_s)
-        with self._lock:
-            cur = self._txn()
-            try:
-                self._reclaim_expired_locked(cur, now)
-                row = cur.execute(
-                    """
-                    SELECT hash, spec, label, extra, attempts, reclaims
-                    FROM jobs
-                    WHERE state='pending' AND not_before <= ?
-                    ORDER BY enqueued_at, hash LIMIT 1
-                    """,
-                    (now,),
-                ).fetchone()
-                if row is None:
-                    cur.execute("COMMIT")
-                    return None
-                content_hash, spec_text, label, extra_text, attempts, reclaims = row
-                deadline = now + duration
-                cur.execute(
-                    """
-                    UPDATE jobs SET state='leased', worker=?, deadline=?
-                    WHERE hash=?
-                    """,
-                    (worker, deadline, content_hash),
-                )
-                cur.execute(
-                    """
-                    INSERT INTO leases (hash, worker, attempt, acquired_at, deadline)
-                    VALUES (?, ?, ?, ?, ?)
-                    """,
-                    (content_hash, worker, attempts + reclaims, now, deadline),
-                )
-                lease_id = cur.lastrowid
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+        with self._write() as cur:
+            self._reclaim_expired_locked(cur, now)
+            row = cur.execute(
+                """
+                SELECT hash, spec, label, extra, attempts, reclaims
+                FROM jobs
+                WHERE state='pending' AND not_before <= ?
+                ORDER BY enqueued_at, hash LIMIT 1
+                """,
+                (now,),
+            ).fetchone()
+            if row is None:
+                return None
+            content_hash, spec_text, label, extra_text, attempts, reclaims = row
+            deadline = now + duration
+            cur.execute(
+                """
+                UPDATE jobs SET state='leased', worker=?, deadline=?
+                WHERE hash=?
+                """,
+                (worker, deadline, content_hash),
+            )
+            cur.execute(
+                """
+                INSERT INTO leases (hash, worker, attempt, acquired_at, deadline)
+                VALUES (?, ?, ?, ?, ?)
+                """,
+                (content_hash, worker, attempts + reclaims, now, deadline),
+            )
+            lease_id = cur.lastrowid
         job = JobSpec.from_dict(json.loads(spec_text), label=label)
         extra = json.loads(extra_text)
         if extra:
@@ -528,14 +520,8 @@ class Broker:
         """
         if now is None:
             now = time.time()
-        with self._lock:
-            cur = self._txn()
-            try:
-                n = self._reclaim_expired_locked(cur, now)
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+        with self._write() as cur:
+            n = self._reclaim_expired_locked(cur, now)
         return n
 
     def heartbeat(
@@ -554,32 +540,26 @@ class Broker:
         if now is None:
             now = time.time()
         duration = self.lease_s if lease_s is None else float(lease_s)
-        with self._lock:
-            cur = self._txn()
-            try:
+        with self._write() as cur:
+            cur.execute(
+                """
+                UPDATE jobs SET deadline=?
+                WHERE hash=? AND state='leased' AND worker=?
+                """,
+                (now + duration, content_hash, worker),
+            )
+            held = cur.rowcount == 1
+            if held:
                 cur.execute(
                     """
-                    UPDATE jobs SET deadline=?
-                    WHERE hash=? AND state='leased' AND worker=?
+                    UPDATE leases SET deadline=?
+                    WHERE hash=? AND worker=? AND outcome IS NULL
                     """,
                     (now + duration, content_hash, worker),
                 )
-                held = cur.rowcount == 1
-                if held:
-                    cur.execute(
-                        """
-                        UPDATE leases SET deadline=?
-                        WHERE hash=? AND worker=? AND outcome IS NULL
-                        """,
-                        (now + duration, content_hash, worker),
-                    )
-                cur.execute(
-                    "UPDATE workers SET last_seen=? WHERE worker=?", (now, worker)
-                )
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+            cur.execute(
+                "UPDATE workers SET last_seen=? WHERE worker=?", (now, worker)
+            )
         return held
 
     # -- completion -------------------------------------------------------
@@ -607,42 +587,36 @@ class Broker:
         """
         if now is None:
             now = time.time()
-        with self._lock:
-            cur = self._txn()
-            try:
+        with self._write() as cur:
+            cur.execute(
+                """
+                UPDATE jobs SET state='done', result=?, finished_at=?,
+                    completions=completions+1, cached=?, worker=NULL,
+                    deadline=NULL
+                WHERE hash=? AND state='leased' AND worker=?
+                """,
+                (
+                    canonical_json(json_roundtrip(result)),
+                    now,
+                    1 if cached else 0,
+                    content_hash,
+                    worker,
+                ),
+            )
+            accepted = cur.rowcount == 1
+            if accepted:
                 cur.execute(
                     """
-                    UPDATE jobs SET state='done', result=?, finished_at=?,
-                        completions=completions+1, cached=?, worker=NULL,
-                        deadline=NULL
-                    WHERE hash=? AND state='leased' AND worker=?
+                    UPDATE leases SET outcome='completed'
+                    WHERE hash=? AND worker=? AND outcome IS NULL
                     """,
-                    (
-                        canonical_json(json_roundtrip(result)),
-                        now,
-                        1 if cached else 0,
-                        content_hash,
-                        worker,
-                    ),
+                    (content_hash, worker),
                 )
-                accepted = cur.rowcount == 1
-                if accepted:
-                    cur.execute(
-                        """
-                        UPDATE leases SET outcome='completed'
-                        WHERE hash=? AND worker=? AND outcome IS NULL
-                        """,
-                        (content_hash, worker),
-                    )
-                    cur.execute(
-                        "UPDATE workers SET jobs_done=jobs_done+1, last_seen=? "
-                        "WHERE worker=?",
-                        (now, worker),
-                    )
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+                cur.execute(
+                    "UPDATE workers SET jobs_done=jobs_done+1, last_seen=? "
+                    "WHERE worker=?",
+                    (now, worker),
+                )
         return accepted
 
     def fail(
@@ -663,62 +637,55 @@ class Broker:
         """
         if now is None:
             now = time.time()
-        with self._lock:
-            cur = self._txn()
-            try:
-                row = cur.execute(
-                    """
-                    SELECT attempts, max_attempts FROM jobs
-                    WHERE hash=? AND state='leased' AND worker=?
-                    """,
-                    (content_hash, worker),
-                ).fetchone()
-                if row is None:
-                    cur.execute("COMMIT")
-                    return "lost"
-                attempts, max_attempts = row
-                attempts += 1
-                timeout_bump = 1 if failure.timed_out else 0
-                if failure.transient and attempts < max_attempts:
-                    cur.execute(
-                        """
-                        UPDATE jobs SET state='pending', worker=NULL,
-                            deadline=NULL, attempts=?, timeouts=timeouts+?,
-                            not_before=?
-                        WHERE hash=?
-                        """,
-                        (attempts, timeout_bump, now + retry_delay_s, content_hash),
-                    )
-                    state = "requeued"
-                else:
-                    cur.execute(
-                        """
-                        UPDATE jobs SET state='failed', worker=NULL,
-                            deadline=NULL, attempts=?, timeouts=timeouts+?,
-                            finished_at=?, result=?
-                        WHERE hash=?
-                        """,
-                        (
-                            attempts,
-                            timeout_bump,
-                            now,
-                            canonical_json(failure.to_dict()),
-                            content_hash,
-                        ),
-                    )
-                    state = "failed"
+        with self._write() as cur:
+            row = cur.execute(
+                """
+                SELECT attempts, max_attempts FROM jobs
+                WHERE hash=? AND state='leased' AND worker=?
+                """,
+                (content_hash, worker),
+            ).fetchone()
+            if row is None:
+                return "lost"
+            attempts, max_attempts = row
+            attempts += 1
+            timeout_bump = 1 if failure.timed_out else 0
+            if failure.transient and attempts < max_attempts:
                 cur.execute(
                     """
-                    UPDATE leases SET outcome=?
-                    WHERE hash=? AND worker=? AND outcome IS NULL
+                    UPDATE jobs SET state='pending', worker=NULL,
+                        deadline=NULL, attempts=?, timeouts=timeouts+?,
+                        not_before=?
+                    WHERE hash=?
                     """,
-                    ("failed" if state == "failed" else "requeued",
-                     content_hash, worker),
+                    (attempts, timeout_bump, now + retry_delay_s, content_hash),
                 )
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+                state = "requeued"
+            else:
+                cur.execute(
+                    """
+                    UPDATE jobs SET state='failed', worker=NULL,
+                        deadline=NULL, attempts=?, timeouts=timeouts+?,
+                        finished_at=?, result=?
+                    WHERE hash=?
+                    """,
+                    (
+                        attempts,
+                        timeout_bump,
+                        now,
+                        canonical_json(failure.to_dict()),
+                        content_hash,
+                    ),
+                )
+                state = "failed"
+            cur.execute(
+                """
+                UPDATE leases SET outcome=?
+                WHERE hash=? AND worker=? AND outcome IS NULL
+                """,
+                ("failed" if state == "failed" else "requeued",
+                 content_hash, worker),
+            )
         return state
 
     # -- inspection -------------------------------------------------------
@@ -795,22 +762,16 @@ class Broker:
             now = time.time()
         if pid is None:
             pid = os.getpid()
-        with self._lock:
-            cur = self._txn()
-            try:
-                cur.execute(
-                    """
-                    INSERT INTO workers (worker, pid, host, started_at, last_seen)
-                    VALUES (?, ?, ?, ?, ?)
-                    ON CONFLICT(worker) DO UPDATE SET
-                        pid=excluded.pid, host=excluded.host, last_seen=excluded.last_seen
-                    """,
-                    (worker, pid, socket.gethostname(), now, now),
-                )
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+        with self._write() as cur:
+            cur.execute(
+                """
+                INSERT INTO workers (worker, pid, host, started_at, last_seen)
+                VALUES (?, ?, ?, ?, ?)
+                ON CONFLICT(worker) DO UPDATE SET
+                    pid=excluded.pid, host=excluded.host, last_seen=excluded.last_seen
+                """,
+                (worker, pid, socket.gethostname(), now, now),
+            )
 
     def workers(self) -> List[dict]:
         """Every worker ever registered, most recently seen first."""
@@ -886,22 +847,16 @@ class Broker:
         """
         if now is None:
             now = time.time()
-        with self._lock:
-            cur = self._txn()
-            try:
-                cur.execute(
-                    """
-                    UPDATE jobs SET state='pending', attempts=0, reclaims=0,
-                        timeouts=0, worker=NULL, deadline=NULL, not_before=0,
-                        finished_at=NULL, result=NULL
-                    WHERE state='failed'
-                    """
-                )
-                n = cur.rowcount
-                cur.execute("COMMIT")
-            except BaseException:
-                cur.execute("ROLLBACK")
-                raise
+        with self._write() as cur:
+            cur.execute(
+                """
+                UPDATE jobs SET state='pending', attempts=0, reclaims=0,
+                    timeouts=0, worker=NULL, deadline=NULL, not_before=0,
+                    finished_at=NULL, result=NULL
+                WHERE state='failed'
+                """
+            )
+            n = cur.rowcount
         return n
 
     def integrity_ok(self) -> bool:

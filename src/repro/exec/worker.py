@@ -43,12 +43,11 @@ from typing import Any, List, Optional
 from repro.exec.cache import ResultCache
 from repro.exec.executor import (
     JobFailure,
-    JobTimeout,
     RetryPolicy,
     _attempt,
+    _classify,
     _watchdog_attempt,
     check_polling,
-    is_transient,
 )
 from repro.exec.queue import Broker, Lease, default_worker_id
 
@@ -217,14 +216,7 @@ class Worker:
     def _push_failure(
         self, lease: Lease, exc: Exception, report: WorkerReport
     ) -> None:
-        failure = JobFailure.for_job(
-            lease.job,
-            attempts=lease.attempt + 1,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            transient=is_transient(exc),
-            timed_out=isinstance(exc, JobTimeout),
-        )
+        failure = JobFailure.for_job(lease.job, lease.attempt + 1, *_classify(exc))
         delay = self.retry.backoff_for(lease.attempt + 1)
         state = self.broker.fail(
             self.worker_id, lease.content_hash, failure, retry_delay_s=delay

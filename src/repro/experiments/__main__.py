@@ -29,9 +29,8 @@ from repro.obs import ProgressLine
 from repro.sim.__main__ import CACHE_ACTIONS, cache_command, failure_line
 
 #: Each experiment's ``run`` and the function that renders its result.
-#: Every ``run`` takes the shared executor knobs: a worker-pool size, an
-#: optional persistent result cache, an optional live progress callback
-#: and an optional retry policy.
+#: Every ``run`` takes a live ``progress`` callback and hands any other
+#: keyword (here ``workers``, ``cache`` and ``retry``) to its executor.
 _EXPERIMENTS = {
     "table1": (table1.run, table1.format_table),
     "table2": (table2.run, table2.format_table),
@@ -118,12 +117,12 @@ def _run(names, args) -> int:
             hits = cache.hits if cache else 0
             misses = cache.misses if cache else 0
             line = ProgressLine(name) if args.progress else None
-            knobs = dict(workers=args.workers, cache=cache, progress=line, retry=retry)
+            knobs = dict(workers=args.workers, cache=cache, retry=retry)
             if name in _CAMPAIGNS:
                 knobs.update(keep_going=args.keep_going, broker=broker)
             run, render = _EXPERIMENTS[name]
             try:
-                result = run(scale, **knobs)
+                result = run(scale, progress=line, **knobs)
                 output = render(result)
             finally:
                 if line is not None:

@@ -12,9 +12,9 @@ original in-process loop used, so the figures are unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
-from repro.exec import Executor, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import Executor, ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.mapping.occupancy import OccupancyGrid
@@ -32,26 +32,23 @@ def run(
     scale: Optional[ExperimentScale] = None,
     speed: float = 0.5,
     seed: int = 7,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
+    **execution: Any,
 ) -> Fig3Result:
     """Fly each policy once and collect its occupancy grid.
 
     The grids are rebuilt from the jobs' exact occupancy arrays
     (:meth:`~repro.mapping.occupancy.OccupancyGrid.from_occupancy`);
     the reported coverage is the mission's reachable-normalized value
-    from the job payload.
+    from the job payload. ``progress`` and ``execution`` go unchanged
+    to the executor.
     """
     scale = scale or default_scale()
     job_list = [
         jobs.fig3_job(name, speed, scale.flight_time_s, seed)
         for name in POLICY_NAMES
     ]
-    payloads = Executor(workers=workers, cache=cache, retry=retry).run(
-        job_list, progress=progress
-    )
+    payloads = Executor(**execution).run(job_list, progress=progress)
     grids = {}
     coverage = {}
     for name, payload in zip(POLICY_NAMES, payloads):

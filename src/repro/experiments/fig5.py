@@ -7,11 +7,11 @@ each, reporting the mean coverage percentage -- the paper's bar chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exec import Broker, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import ProgressCallback
 from repro.experiments.config import ExperimentScale, default_scale
-from repro.experiments.reporting import ascii_table
+from repro.experiments.reporting import ascii_table, runs_note
 from repro.policies import POLICY_NAMES
 from repro.sim import Campaign, get_scenario, run_campaign
 
@@ -25,6 +25,8 @@ class Fig5Result:
     stddev: Dict[Tuple[str, float], float]
     n_runs: int
     scale_name: str
+    speeds: Tuple[float, ...]  #: the configured speeds, one column each
+    runs: Dict[Tuple[str, float], int]  #: (policy, speed) -> surviving runs
     failures: List[dict] = field(default_factory=list)  #: the campaign's lost missions
 
     def best_configuration(self) -> Tuple[str, float]:
@@ -36,14 +38,11 @@ def run(
     scale: Optional[ExperimentScale] = None,
     speeds: Tuple[float, ...] = PAPER_SPEEDS,
     seed: int = 100,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
-    keep_going: bool = False,
-    broker: Optional[Broker] = None,
+    **execution: Any,
 ) -> Fig5Result:
-    """Sweep every policy x speed configuration via the campaign engine."""
+    """Sweep every policy x speed configuration via the campaign engine;
+    ``progress`` and ``execution`` go unchanged to ``run_campaign``."""
     scale = scale or default_scale()
     campaign = Campaign(
         name="fig5",
@@ -55,23 +54,26 @@ def run(
         kind="explore",
         seed=seed,
     )
-    result = run_campaign(
-        campaign, workers=workers, cache=cache, exec_progress=progress,
-        retry=retry, keep_going=keep_going, broker=broker,
-    )
+    result = run_campaign(campaign, progress=progress, **execution)
     agg = result.aggregate(("policy", "speed"), value="coverage")
     return Fig5Result(
         coverage={key: stat.mean for key, stat in agg.items()},
         stddev={key: stat.std for key, stat in agg.items()},
         n_runs=scale.n_runs,
         scale_name=scale.name,
+        speeds=campaign.speeds,
+        runs={key: stat.n for key, stat in agg.items()},
         failures=result.failures,
     )
 
 
 def format_table(result: Fig5Result) -> str:
-    """The coverage table; a configuration without a surviving run reads ``-``."""
-    speeds = sorted({s for (_, s) in result.coverage})
+    """The coverage table, one column per configured speed.
+
+    A configuration without a surviving run reads ``-``, and one
+    averaged over fewer than ``n_runs`` runs shows how many.
+    """
+    speeds = sorted(set(result.speeds) | {s for (_, s) in result.coverage})
     headers = ["Policy"] + [f"{s:g} m/s" for s in speeds]
     rows = []
     for name in POLICY_NAMES:
@@ -79,6 +81,7 @@ def format_table(result: Fig5Result) -> str:
             [name]
             + [
                 f"{result.coverage[(name, s)]:.0%} (±{result.stddev[(name, s)]:.0%})"
+                + runs_note(result.runs[(name, s)], result.n_runs)
                 if (name, s) in result.coverage
                 else "-"
                 for s in speeds

@@ -8,11 +8,11 @@ detection timeline of the six objects for the best run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, List, Optional
 
 import numpy as np
 
-from repro.exec import Broker, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import ProgressCallback
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_series
 from repro.mapping.coverage import CoverageSeries
@@ -43,14 +43,11 @@ def run(
     operating_point: Optional[DetectorOperatingPoint] = None,
     speed: float = 0.5,
     seed: int = 900,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
-    keep_going: bool = False,
-    broker: Optional[Broker] = None,
+    **execution: Any,
 ) -> Fig6Result:
-    """Fly the paper's best configuration ``n_runs`` times via the engine."""
+    """Fly the paper's best configuration ``n_runs`` times via the engine;
+    ``progress`` and ``execution`` go unchanged to ``run_campaign``."""
     scale = scale or default_scale()
     op_spec = (
         paper_operating_point_spec("1.0")
@@ -69,10 +66,7 @@ def run(
         seed=seed,
         operating_points=(op_spec,),
     )
-    result = run_campaign(
-        campaign, workers=workers, cache=cache, exec_progress=progress,
-        retry=retry, keep_going=keep_going, broker=broker,
-    )
+    result = run_campaign(campaign, progress=progress, **execution)
     runs = result.records
     grid_times = np.linspace(0.0, scale.flight_time_s, 61)
     mean = var = np.empty(0)

@@ -63,6 +63,14 @@ def ascii_table(headers: Sequence[str], rows: Sequence[Sequence[str]], title: st
     return "\n".join(lines)
 
 
+def runs_note(runs: int, n_runs: int) -> str:
+    """What a table cell averaged over ``runs`` of ``n_runs`` runs appends.
+
+    Empty when every run survived, else e.g. ``" [1/2 runs]"``.
+    """
+    return "" if runs >= n_runs else f" [{runs}/{n_runs} runs]"
+
+
 def ascii_series(times: Sequence[float], values: Sequence[float], width: int = 60, label: str = "") -> str:
     """Render a (time, value) series as a coarse ASCII sparkline block."""
     if len(times) != len(values):

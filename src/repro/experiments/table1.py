@@ -18,9 +18,9 @@ the same jobs) load finished widths instead of retraining them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.exec import Executor, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import Executor, ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_table
@@ -60,25 +60,20 @@ class Table1Result:
 def run(
     scale: Optional[ExperimentScale] = None,
     seed: int = 0,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
+    **execution: Any,
 ) -> Table1Result:
     """Train, fine-tune, quantize and evaluate all width multipliers.
 
     Args:
         scale: experiment scale (``None`` = :func:`default_scale`).
         seed: root seed of the dataset and weight-init streams.
-        workers: executor pool size (``None`` serial, ``0`` all cores);
-            each width trains in its own job, bit-identically to the
-            serial path.
-        cache: optional persistent result cache; widths already trained
-            with identical (scale, seed, code version) load instead of
-            retraining.
+        progress, **execution: go unchanged to the one
+            :class:`~repro.exec.Executor` that trains the widths, one
+            job each; no setting changes a result.
     """
     scale = scale or default_scale()
-    payloads = Executor(workers=workers, cache=cache, retry=retry).run(
+    payloads = Executor(**execution).run(
         jobs.table1_jobs(scale, seed), progress=progress
     )
 

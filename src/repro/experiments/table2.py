@@ -11,9 +11,9 @@ the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.exec import Executor, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import Executor, ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_table
@@ -41,16 +41,13 @@ class Table2Result:
 
 def run(
     scale: Optional[ExperimentScale] = None,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
+    **execution: Any,
 ) -> Table2Result:
-    """Deploy every width multiplier and collect the Table II columns."""
+    """Deploy every width multiplier and collect the Table II columns;
+    ``progress`` and ``execution`` go unchanged to the executor."""
     scale = scale or default_scale()
-    payloads = Executor(workers=workers, cache=cache, retry=retry).run(
-        jobs.plan_jobs(scale), progress=progress
-    )
+    payloads = Executor(**execution).run(jobs.plan_jobs(scale), progress=progress)
     power = AIDeckPowerModel()
     rows = []
     plans = {}

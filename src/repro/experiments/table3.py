@@ -9,12 +9,12 @@ fed by the Table I/II characteristics (mAP, FPS) of each SSD.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.exec import Broker, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import ProgressCallback
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.fig5 import PAPER_SPEEDS
-from repro.experiments.reporting import ascii_table
+from repro.experiments.reporting import ascii_table, runs_note
 from repro.mission.detector_model import (
     DetectorOperatingPoint,
     paper_operating_points,
@@ -30,6 +30,9 @@ class Table3Result:
     stddev: Dict[Tuple[str, str, float], float]
     n_runs: int
     scale_name: str
+    widths: Tuple[str, ...]  #: the configured SSD widths, each with its rows
+    speeds: Tuple[float, ...]  #: the configured speeds, a row per width each
+    runs: Dict[Tuple[str, str, float], int]  #: ``rates`` keys -> surviving runs
     failures: List[dict] = field(default_factory=list)  #: the campaign's lost missions
 
     def best_configuration(self) -> Tuple[str, str, float]:
@@ -68,12 +71,8 @@ def run(
     widths: Tuple[str, ...] = ("1.0", "0.75"),
     speeds: Tuple[float, ...] = PAPER_SPEEDS,
     seed: int = 500,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
-    keep_going: bool = False,
-    broker: Optional[Broker] = None,
+    **execution: Any,
 ) -> Table3Result:
     """Sweep SSD x policy x speed through the campaign engine.
 
@@ -86,35 +85,36 @@ def run(
         speeds: mean flight speeds.
         seed: campaign root seed; every flight spawns an independent
             stream, so results do not depend on execution order.
-        workers: ``None`` for the serial path, ``0`` for one worker per
-            core, otherwise the pool size (identical results either way).
-        cache: optional persistent result cache; missions already flown
-            for this sweep load instead of re-flying.
-        broker: optional shared work queue: missions are enqueued and
-            external ``python -m repro.exec worker`` daemons fly them
-            (``workers`` and ``cache`` then apply on the worker side);
-            results are byte-identical to in-process execution.
+        progress, **execution: go unchanged to
+            :func:`~repro.sim.run_campaign` (``fleet_block``, ``record``
+            and the executor settings); none changes a rate.
     """
     scale = scale or default_scale()
     campaign = build_campaign(scale, operating_points, widths, speeds, seed)
-    result = run_campaign(
-        campaign, workers=workers, cache=cache, exec_progress=progress,
-        retry=retry, keep_going=keep_going, broker=broker,
-    )
+    result = run_campaign(campaign, progress=progress, **execution)
     agg = result.aggregate(("ssd_width", "policy", "speed"), value="detection_rate")
     return Table3Result(
         rates={key: stat.mean for key, stat in agg.items()},
         stddev={key: stat.std for key, stat in agg.items()},
         n_runs=scale.n_runs,
         scale_name=scale.name,
+        widths=campaign.ssd_widths,
+        speeds=campaign.speeds,
+        runs={key: stat.n for key, stat in agg.items()},
         failures=result.failures,
     )
 
 
 def format_table(result: Table3Result) -> str:
-    """The detection-rate table; a configuration without a surviving run reads ``-``."""
-    widths = sorted({w for (w, _, _) in result.rates}, key=float, reverse=True)
-    speeds = sorted({s for (_, _, s) in result.rates})
+    """The detection-rate table, a row per configured (width, speed).
+
+    A configuration without a surviving run reads ``-``, and one
+    averaged over fewer than ``n_runs`` runs shows how many.
+    """
+    widths = sorted(
+        set(result.widths) | {w for (w, _, _) in result.rates}, key=float, reverse=True
+    )
+    speeds = sorted(set(result.speeds) | {s for (_, _, s) in result.rates})
     headers = ["SSD", "Speed [m/s]"] + list(POLICY_NAMES)
     rows = []
     for width in widths:
@@ -123,6 +123,7 @@ def format_table(result: Table3Result) -> str:
                 [f"{width}x", f"{speed:g}"]
                 + [
                     f"{result.rates[(width, p, speed)]:.0%}"
+                    + runs_note(result.runs[(width, p, speed)], result.n_runs)
                     if (width, p, speed) in result.rates
                     else "-"
                     for p in POLICY_NAMES

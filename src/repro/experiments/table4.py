@@ -10,9 +10,9 @@ without re-tracing the network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
-from repro.exec import Executor, ProgressCallback, ResultCache, RetryPolicy
+from repro.exec import Executor, ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_table
@@ -30,16 +30,13 @@ class Table4Result:
 def run(
     scale: Optional[ExperimentScale] = None,
     width: float = 1.0,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
     progress: Optional[ProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
+    **execution: Any,
 ) -> Table4Result:
-    """Power breakdown with the given SSD running on the AI-deck."""
+    """Power breakdown with the given SSD running on the AI-deck;
+    ``progress`` and ``execution`` go unchanged to the executor."""
     scale = scale or default_scale()
-    [payload] = Executor(workers=workers, cache=cache, retry=retry).run(
-        [jobs.plan_job(width)], progress=progress
-    )
+    [payload] = Executor(**execution).run([jobs.plan_job(width)], progress=progress)
     plan = jobs.plan_from_dict(payload["plan"])
     ai_deck_w = AIDeckPowerModel().power_w(plan.performance)
     breakdown = platform_power_breakdown(ai_deck_w)

@@ -33,7 +33,7 @@ import sys
 import time
 
 from repro.errors import ExecError, ObsError, SimError
-from repro.exec import Broker, ResultCache, RetryPolicy, default_cache_dir
+from repro.exec import Broker, JobFailure, ResultCache, RetryPolicy, default_cache_dir
 from repro.exec.cache import parse_age, parse_size
 from repro.exec.flags import add_flags, cache_from
 from repro.obs import ProgressLine, TraceStore
@@ -46,7 +46,7 @@ from repro.sim.generators import (
     get_family,
     iter_families,
 )
-from repro.sim.results import CampaignResult
+from repro.sim.results import CampaignResult, MissionRecord
 from repro.sim.runner import enqueue_campaign, run_campaign
 from repro.sim.scenario import get_scenario, iter_scenarios
 
@@ -159,7 +159,11 @@ def _cmd_show(args) -> int:
     return 0
 
 
-def _progress(done: int, total: int, record) -> None:
+def _progress(done: int, total: int, _job, payload, _cached) -> None:
+    """Print one line per flown mission; a lost one is reported at the end."""
+    if isinstance(payload, JobFailure):
+        return
+    record = MissionRecord.from_dict(payload)
     line = (
         f"[{done}/{total}] {record.scenario}/{record.policy}"
         f"@{record.speed:g} run {record.run_idx}: "
@@ -360,11 +364,10 @@ def _cmd_run(args) -> int:
         result = run_campaign(
             campaign,
             workers=workers,
-            progress=None if (args.quiet or args.progress) else _progress,
+            progress=progress_line or (None if args.quiet else _progress),
             cache=None if broker is not None else cache,
             record=args.record,
             trace_dir=cache.directory if (args.record and cache) else None,
-            exec_progress=progress_line,
             retry=retry,
             keep_going=args.keep_going,
             broker=broker,

@@ -17,7 +17,7 @@ paths indistinguishable downstream.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,13 +29,12 @@ from repro.exec import (
     Executor,
     JobFailure,
     JobSpec,
-    ResultCache,
+    ProgressCallback,
     RetryPolicy,
     SubmitReport,
     default_cache_dir,
     resolve_workers,
 )
-from repro.exec.executor import ProgressCallback as ExecProgressCallback
 from repro.mission.closed_loop import ClosedLoopMission
 from repro.mission.detector_model import CalibratedDetectorModel
 from repro.mission.explorer import ExplorationMission
@@ -44,9 +43,6 @@ from repro.policies import PolicyConfig, make_policy
 from repro.seeding import seed_provenance
 from repro.sim.campaign import Campaign, MissionSpec
 from repro.sim.results import CampaignResult, MissionRecord
-
-#: Progress callback signature: ``(done, total, record)``.
-ProgressCallback = Callable[[int, int, MissionRecord], None]
 
 #: Code-version token of the mission job, now its own schema family
 #: (``repro.sim.mission-job``): cache validity tracks mission
@@ -248,76 +244,28 @@ def _fleet_batch(
 
 def run_campaign(
     campaign: Campaign,
-    workers: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    cache: Optional[ResultCache] = None,
     record: bool = False,
     trace_dir: Optional[str] = None,
-    exec_progress: Optional[ExecProgressCallback] = None,
-    retry: Optional[RetryPolicy] = None,
-    keep_going: bool = False,
-    broker: Optional[Broker] = None,
-    poll_s: float = 0.2,
-    wait_timeout_s: Optional[float] = None,
     fleet_block: Optional[int] = None,
+    **execution: Any,
 ) -> CampaignResult:
     """Execute every mission of ``campaign`` and collect the results.
 
     Args:
         campaign: the sweep to run.
-        workers: ``None``/``1`` for the serial path, ``0`` for one worker
-            per CPU core, otherwise the pool size. If the pool cannot be
-            started (restricted environments), the missions fly on the
-            serial path with a :class:`RuntimeWarning` naming the
-            requested count -- results are identical either way.
-        progress: optional callback invoked after each finished mission
-            with ``(done, total, record)``. Runs in the parent process;
-            cache hits are reported first (in mission order), then
-            executed missions in completion order.
-        cache: optional persistent :class:`~repro.exec.ResultCache`.
-            Missions whose job hash is already stored load instead of
-            flying again; fresh results are stored for the next run.
-            ``None`` (the default) disables caching.
+        progress: optional :meth:`Executor.run <repro.exec.Executor.run>`
+            callback, one call per mission. Its ``payload`` is the
+            record's plain dict (``MissionRecord.from_dict`` decodes it)
+            or, for a mission lost under ``keep_going``, a ``JobFailure``.
         record: when True, every mission captures a flight trace stored
             beside its cache entry (keyed by the job hash). Recording
             rides the job's ``extra`` side channel, so hashes and
             results are identical with and without it; missions whose
             result is cached but whose trace is missing re-fly (the
             fresh result is byte-identical to the stored one).
-        trace_dir: where traces go; defaults to the cache directory
-            (or the default cache dir when ``cache`` is ``None``).
-        exec_progress: optional executor-level callback with the raw
-            ``(done, total, job, payload, cached)`` signature -- what
-            the CLIs' live progress line consumes; may be combined
-            with ``progress``.
-        retry: optional :class:`~repro.exec.RetryPolicy` giving each
-            mission multiple attempts, deterministic backoff and a
-            per-attempt wall-clock timeout. ``None`` keeps the
-            historical one-attempt, no-timeout behavior. Retries do not
-            change results: a mission that succeeds on attempt three is
-            byte-identical to one that succeeds on attempt one.
-        keep_going: when ``True``, a mission that exhausts its attempts
-            is dropped from ``records`` and reported in the result's
-            ``failures`` (as a :class:`~repro.exec.JobFailure` dict
-            with the mission ``index``) while its siblings fly on; when
-            ``False`` (default) the first exhausted mission aborts the
-            campaign.
-        broker: a :class:`~repro.exec.Broker` to shard the campaign
-            through instead of executing in-process: every mission is
-            enqueued (idempotently -- resubmitting a partially-drained
-            campaign only waits for the remainder), external ``python
-            -m repro.exec worker`` daemons drain the queue, and this
-            call polls until every mission finished. ``workers`` is
-            ignored (fleet size is however many daemons are running)
-            and a ``cache`` serves its hits before the rest is
-            enqueued; results are byte-identical to a serial
-            in-process run. ``retry`` and
-            ``keep_going`` keep their meaning (attempt budgets are
-            fixed at submit time).
-        poll_s: broker mode only -- seconds between outcome polls.
-        wait_timeout_s: broker mode only -- give up (``ExecError``)
-            after this many seconds without the queue draining;
-            ``None`` waits forever.
+        trace_dir: where traces go; defaults to the ``cache``
+            directory, or the default cache dir without a cache.
         fleet_block: when greater than 1, group cache-missed missions
             that share a (world, kind) into blocks of at most this many
             and step each block in lock-step through the vectorized
@@ -328,6 +276,12 @@ def run_campaign(
             fly unrecorded in this process, so ``record``, a ``broker``
             or more than one worker is rejected; ``None``/``1`` flies
             missions one by one.
+        **execution: :class:`~repro.exec.Executor` settings (``workers``,
+            ``cache``, ``retry``, ``keep_going``, ``broker``, ``poll_s``,
+            ``wait_timeout_s``), passed through unchanged and documented
+            there. No setting changes a record. With ``keep_going``, a
+            lost mission is left out of ``records`` and listed in
+            ``failures`` with its mission ``index``.
 
     Returns:
         A :class:`~repro.sim.results.CampaignResult` with one record per
@@ -337,10 +291,10 @@ def run_campaign(
         counters).
 
     Raises:
-        ExecError: for a negative ``workers`` count, a ``poll_s`` or
-            ``wait_timeout_s`` that is not positive, a ``fleet_block``
-            below 1, ``fleet_block`` combined with ``record``, a broker
-            or a pool, or a failed mission without ``keep_going``.
+        TypeError: for a setting ``Executor`` does not take.
+        ExecError: for a ``fleet_block`` below 1 or combined with
+            ``record``, a broker or a pool, for a setting ``Executor``
+            rejects, or for a failed mission without ``keep_going``.
 
     Example:
         >>> from repro.sim import Campaign, get_scenario, run_campaign
@@ -362,9 +316,10 @@ def run_campaign(
         raise ExecError(f"fleet_block must be >= 1, got {fleet_block}")
     batched = fleet_block is not None and fleet_block > 1
     if batched:
+        workers = execution.get("workers")
         clash = (
             "record=True" if record
-            else "a broker" if broker is not None
+            else "a broker" if execution.get("broker") is not None
             else f"workers={workers}" if resolve_workers(workers) > 1
             else None
         )
@@ -376,6 +331,7 @@ def run_campaign(
     store = None
     if record:
         if trace_dir is None:
+            cache = execution.get("cache")
             trace_dir = cache.directory if cache is not None else default_cache_dir()
         store = TraceStore(trace_dir)
     specs = campaign.missions()
@@ -384,29 +340,16 @@ def run_campaign(
         for spec in specs
     ]
     executor = Executor(
-        workers=workers,
-        cache=cache,
-        retry=retry,
-        keep_going=keep_going,
-        broker=broker,
-        poll_s=poll_s,
-        wait_timeout_s=wait_timeout_s,
         batch=_fleet_batch(specs, jobs, fleet_block) if batched else None,
+        **execution,
     )
-    combined = None
-    if progress is not None or exec_progress is not None:
-        def combined(done, total, job, payload, cached):
-            if exec_progress is not None:
-                exec_progress(done, total, job, payload, cached)
-            if progress is not None and not isinstance(payload, JobFailure):
-                progress(done, total, MissionRecord.from_dict(payload))
     refresh = None
     if store is not None:
         # A cached scalar result without its trace artifact must re-fly
         # (determinism makes the re-stored result byte-identical).
         def refresh(job):
             return not store.has(job.content_hash())
-    payloads = executor.run(jobs, progress=combined, refresh=refresh)
+    payloads = executor.run(jobs, progress=progress, refresh=refresh)
     records = []
     failures = []
     for spec, payload in zip(specs, payloads):

@@ -210,6 +210,14 @@ class TestExecutor:
         with pytest.raises(ExecError):
             resolve_workers(-2)
 
+    def test_zero_workers_means_one_per_usable_core(self, monkeypatch):
+        """``0`` counts the cores this process may run on, not the box's."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert resolve_workers(0) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers(0) == 8
+
     def test_duplicate_jobs_execute_once(self, tmp_path):
         job = demo_job()
         executor = Executor()

@@ -291,7 +291,7 @@ class TestInterruptedCampaign:
 
         with pytest.raises(KeyboardInterrupt):
             run_campaign(
-                campaign, workers=0, cache=cache, exec_progress=interrupt_after_first
+                campaign, workers=0, cache=cache, progress=interrupt_after_first
             )
         assert len(done) == 1
         stats = cache.stats()
@@ -377,7 +377,7 @@ class TestRaisingProgressCallbacks:
         cache = ResultCache(str(tmp_path / "c"))
         campaign = small_campaign()
 
-        def boom(done, total, record):
+        def boom(done, total, job, payload, cached):
             raise Boom
 
         with pytest.raises(Boom):
@@ -395,7 +395,7 @@ class TestRaisingProgressCallbacks:
             done_before = broker.counts().done
             assert done_before == len(campaign.missions())
 
-            def boom(done, total, record):
+            def boom(done, total, job, payload, cached):
                 raise Boom
 
             with pytest.raises(Boom):

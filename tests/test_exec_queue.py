@@ -21,12 +21,13 @@ import pytest
 from repro.errors import ExecError
 from repro.exec import (
     Broker,
+    Executor,
     JobFailure,
     JobSpec,
     RetryPolicy,
     Worker,
 )
-from repro.exec.faults import FAULT_KINDS
+from repro.exec.faults import FAULT_KINDS, FaultPlan, FaultSpec, injected
 from repro.sim import Campaign, get_scenario, run_campaign
 from repro.sim.runner import enqueue_campaign
 
@@ -379,6 +380,21 @@ class TestWorkerLoop:
         assert out.failure().error_type == "ExecError"
         assert out.attempts == 1
 
+    def test_worker_classifies_a_crash_like_the_executor(self, broker):
+        """A crashed attempt ends in the same envelope, ``worker_crash``
+        included, through a broker worker as through the executor."""
+        job = sum_job(1)
+        retry = RetryPolicy(max_attempts=2)
+        with injected(FaultPlan((FaultSpec(kind="crash", attempt=None),))):
+            [expected] = Executor(retry=retry, keep_going=True).run([job])
+            broker.submit([job], retry=retry)
+            report = Worker(
+                broker, worker_id="w1", poll_s=0.01, exit_when_drained=True
+            ).run()
+        assert (report.requeued, report.failed) == (1, 1)
+        assert expected.worker_crash
+        assert broker.outcome(job.content_hash()).failure() == expected
+
     def test_worker_timeout_is_transient_and_requeued(self, broker):
         slow = JobSpec(
             fn="repro.exec.demo:sleepy_echo",
@@ -652,7 +668,7 @@ class TestCampaignByteIdentity:
                 campaign,
                 broker=broker,
                 wait_timeout_s=30.0,
-                exec_progress=lambda done, total, job, payload, cached: seen.append(cached),
+                progress=lambda done, total, job, payload, cached: seen.append(cached),
             )
         assert result.execution.executed == 0
         assert result.execution.cached == n

@@ -7,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from repro.exec.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec
+from repro.exec.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec, injected
 from repro.experiments import SMOKE_SCALE
 from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.config import quick
-from repro.experiments import fig3, fig5, fig6, table2, table3, table4
+from repro.experiments import fig3, fig5, fig6, table1, table2, table3, table4
 from repro.experiments.reporting import ascii_series, ascii_table
 from repro.policies import POLICY_NAMES
+from repro.sim import Campaign, campaign_jobs, fleet, get_scenario, run_campaign
 
 TINY = quick(SMOKE_SCALE, n_runs=1, flight_time_s=30.0)
 
@@ -128,11 +129,106 @@ class TestLostMissions:
             stddev={key: 0.1 for key in survivors},
             n_runs=2,
             scale_name="smoke",
+            speeds=(0.5,),
+            runs={key: 2 for key in survivors},
         )
         rows = {line.split()[0]: line for line in fig5.format_table(result).splitlines()}
         assert rows["wall-following"].split()[-1] == "-"
         for policy, _ in survivors:
             assert rows[policy].endswith("50% (±10%)")
+
+    @pytest.mark.parametrize("name", ["fig5", "table3"])
+    def test_a_table_without_survivors_keeps_every_configured_axis(
+        self, name, monkeypatch, capsys
+    ):
+        plan = FaultPlan((FaultSpec(kind="raise", attempt=None, permanent=True),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        assert experiments_main([name, "--no-cache", "--keep-going"]) == 1
+        header, *rows = [
+            [cell.strip() for cell in line.split(" | ")]
+            for line in capsys.readouterr().out.splitlines()
+            if " | " in line
+        ]
+        if name == "fig5":
+            assert header == ["Policy"] + [f"{s:g} m/s" for s in fig5.PAPER_SPEEDS]
+            assert [row[0] for row in rows] == list(POLICY_NAMES)
+            assert all(row[1:] == ["-"] * len(fig5.PAPER_SPEEDS) for row in rows)
+        else:
+            assert [row[:2] for row in rows] == [
+                [f"{width}x", f"{speed:g}"]
+                for width in ("1.0", "0.75")
+                for speed in fig5.PAPER_SPEEDS
+            ]
+            assert all(row[2:] == ["-"] * len(POLICY_NAMES) for row in rows)
+
+    def test_a_cell_with_lost_runs_shows_its_run_count(self):
+        scale = quick(SMOKE_SCALE, n_runs=2, flight_time_s=10.0)
+        campaign = table3.build_campaign(scale, speeds=(0.5,))
+        lost = [
+            job.content_hash()
+            for spec, job in zip(campaign.missions(), campaign_jobs(campaign))
+            if spec.ssd_width == "0.75" or (spec.policy == "spiral" and spec.run_idx == 0)
+        ]
+        plan = FaultPlan(
+            tuple(
+                FaultSpec(kind="raise", match=h, attempt=None, permanent=True)
+                for h in lost
+            )
+        )
+        with injected(plan):
+            result = table3.run(scale, speeds=(0.5,), keep_going=True)
+        assert len(result.failures) == len(lost) == len(POLICY_NAMES) * 2 + 1
+        rows = {
+            cells[0].strip(): [cell.strip() for cell in cells[2:]]
+            for cells in (
+                line.split(" | ") for line in table3.format_table(result).splitlines()
+            )
+            if len(cells) > 1
+        }
+        assert rows["0.75x"] == ["-"] * len(POLICY_NAMES)
+        for policy, cell in zip(POLICY_NAMES, rows["1.0x"]):
+            assert cell.endswith("% [1/2 runs]") == (policy == "spiral"), cell
+            assert cell != "-"
+
+
+def _tiny_campaign_run(scale, **kwargs):
+    campaign = Campaign(
+        name="settings", scenarios=(get_scenario("paper-room"),), flight_time_s=5.0
+    )
+    return run_campaign(campaign, **kwargs)
+
+
+class TestExecutionSettings:
+    """Each experiment's ``run`` hands its execution settings, unchanged,
+    to one ``Executor`` -- through ``run_campaign`` for a campaign."""
+
+    @pytest.mark.parametrize(
+        "run",
+        [m.run for m in (table1, table2, table3, table4, fig3, fig5, fig6)]
+        + [_tiny_campaign_run],
+        ids=["table1", "table2", "table3", "table4", "fig3", "fig5", "fig6", "run_campaign"],
+    )
+    def test_a_misspelt_setting_fails_before_any_job_runs(self, run):
+        calls = []
+        with pytest.raises(TypeError, match="'worker'"):
+            run(TINY, progress=lambda *args: calls.append(args), worker=2)
+        assert calls == []
+
+    def test_table3_in_fleet_blocks_returns_the_serial_result(self, monkeypatch):
+        scale = quick(SMOKE_SCALE, n_runs=2, flight_time_s=20.0)
+        serial = table3.run(scale, speeds=(0.5,))
+        blocks = []
+        fly_fleet = fleet.fly_fleet
+
+        def counted(specs):
+            blocks.append(len(specs))
+            return fly_fleet(specs)
+
+        monkeypatch.setattr(fleet, "fly_fleet", counted)
+        blocked = table3.run(scale, speeds=(0.5,), fleet_block=8)
+        assert blocks == [8, 8]
+        assert blocked == serial
+        assert table3.format_table(blocked) == table3.format_table(serial)
 
 
 class TestTable1Job:

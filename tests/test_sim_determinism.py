@@ -117,6 +117,7 @@ class TestCampaignDeterminism:
     def test_progress_callback_sees_every_mission(self):
         seen = []
         result = run_campaign(
-            tiny_campaign(), progress=lambda done, total, rec: seen.append((done, total))
+            tiny_campaign(),
+            progress=lambda done, total, job, payload, cached: seen.append((done, total)),
         )
         assert seen == [(i + 1, len(result)) for i in range(len(result))]

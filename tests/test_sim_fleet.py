@@ -19,7 +19,7 @@ import pytest
 from repro import schemas
 from repro.errors import ExecError, MissionError
 from repro.exec import Broker, JobFailure, ResultCache
-from repro.sim import Campaign, get_scenario, scenario_names
+from repro.sim import Campaign, MissionRecord, get_scenario, scenario_names
 from repro.sim.campaign import MissionSpec
 from repro.sim.fleet import fleet_key, fly_fleet
 from repro.sim.generators import get_family
@@ -166,21 +166,16 @@ def test_run_campaign_fleet_reports_members_individually(tmp_path):
     campaign = _campaign()
     n = len(campaign.missions())
     seen = []
-    exec_seen = []
 
-    def progress(done, total, record):
-        seen.append((done, total, record.index))
-
-    def exec_progress(done, total, job, payload, cached):
+    def progress(done, total, job, payload, cached):
         assert not isinstance(payload, JobFailure)
-        exec_seen.append((done, total, cached))
+        seen.append((done, total, MissionRecord.from_dict(payload).index, cached))
 
-    result = run_campaign(
-        campaign, fleet_block=3, progress=progress, exec_progress=exec_progress
-    )
+    result = run_campaign(campaign, fleet_block=3, progress=progress)
     assert [s[0] for s in seen] == list(range(1, n + 1))
     assert all(s[1] == n for s in seen)
-    assert len(exec_seen) == n
+    assert sorted(s[2] for s in seen) == list(range(n))
+    assert not any(s[3] for s in seen)
     report = result.execution
     assert report is not None
     assert report.total == n
