@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.exec import Executor, ProgressCallback
+from repro.exec import ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.mapping.occupancy import OccupancyGrid
@@ -48,7 +48,7 @@ def run(
         jobs.fig3_job(name, speed, scale.flight_time_s, seed)
         for name in POLICY_NAMES
     ]
-    payloads = Executor(**execution).run(job_list, progress=progress)
+    payloads = jobs.run_jobs(job_list, progress, **execution)
     grids = {}
     coverage = {}
     for name, payload in zip(POLICY_NAMES, payloads):

@@ -6,8 +6,9 @@ policy. Each of those units is a deterministic, self-contained function
 of plain data -- so each becomes a :class:`~repro.exec.JobSpec` that
 the shared :class:`~repro.exec.Executor` can fan out over worker
 processes and memoize in the persistent result cache. The experiment
-modules (:mod:`~repro.experiments.table1` etc.) submit these jobs and
-rebuild their rich result objects from the plain payloads.
+modules (:mod:`~repro.experiments.table1` etc.) submit these jobs
+through :func:`run_jobs` and rebuild their rich result objects from the
+plain payloads.
 
 Because jobs are keyed by content, results flow *between* experiments
 for free: Table IV's deployment-plan job for a width is byte-for-byte
@@ -22,7 +23,7 @@ dicts with base64-encoded bytes (:func:`encode_array`), which is exact
 from __future__ import annotations
 
 import base64
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from repro.datasets.base import DetectionDataset
 from repro import schemas
 from repro.errors import ExecError
 from repro.evaluation import evaluate_map
-from repro.exec import JobSpec
+from repro.exec import Executor, JobFailure, JobSpec, ProgressCallback
 from repro.experiments.config import ExperimentScale
 from repro.geometry.vec import Vec2
 from repro.hw.cost import CostReport, LayerCost
@@ -403,3 +404,24 @@ def table1_jobs(scale: ExperimentScale, seed: int) -> List[JobSpec]:
 def plan_jobs(scale: ExperimentScale) -> List[JobSpec]:
     """One deployment-plan job per configured width."""
     return [plan_job(w) for w in scale.widths]
+
+
+def run_jobs(
+    job_list: Sequence[JobSpec],
+    progress: Optional[ProgressCallback] = None,
+    **execution: Any,
+) -> List[Any]:
+    """Run ``job_list`` on one :class:`~repro.exec.Executor`; return the payloads.
+
+    ``progress`` and ``execution`` go unchanged to the executor. An
+    experiment needs every one of its jobs' payloads, so a job lost
+    under ``keep_going`` (which lets the other jobs finish and reach the
+    cache first) raises :class:`~repro.errors.ExecError` naming each
+    lost job, instead of handing a :class:`~repro.exec.JobFailure` on as
+    a payload.
+    """
+    payloads = Executor(**execution).run(job_list, progress=progress)
+    lost = [p.summary() for p in payloads if isinstance(p, JobFailure)]
+    if lost:
+        raise ExecError(f"{len(lost)} of {len(payloads)} jobs lost: " + "; ".join(lost))
+    return payloads

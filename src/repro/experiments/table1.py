@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.exec import Executor, ProgressCallback
+from repro.exec import ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_table
@@ -73,9 +73,7 @@ def run(
             job each; no setting changes a result.
     """
     scale = scale or default_scale()
-    payloads = Executor(**execution).run(
-        jobs.table1_jobs(scale, seed), progress=progress
-    )
+    payloads = jobs.run_jobs(jobs.table1_jobs(scale, seed), progress, **execution)
 
     maps: Dict[str, Dict[float, float]] = {key: {} for *_, key in ROW_KEYS}
     detectors: Dict[float, SSDDetector] = {}

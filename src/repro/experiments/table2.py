@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.exec import Executor, ProgressCallback
+from repro.exec import ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_table
@@ -47,7 +47,7 @@ def run(
     """Deploy every width multiplier and collect the Table II columns;
     ``progress`` and ``execution`` go unchanged to the executor."""
     scale = scale or default_scale()
-    payloads = Executor(**execution).run(jobs.plan_jobs(scale), progress=progress)
+    payloads = jobs.run_jobs(jobs.plan_jobs(scale), progress, **execution)
     power = AIDeckPowerModel()
     rows = []
     plans = {}

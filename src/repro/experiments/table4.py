@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.exec import Executor, ProgressCallback
+from repro.exec import ProgressCallback
 from repro.experiments import jobs
 from repro.experiments.config import ExperimentScale, default_scale
 from repro.experiments.reporting import ascii_table
@@ -36,7 +36,7 @@ def run(
     """Power breakdown with the given SSD running on the AI-deck;
     ``progress`` and ``execution`` go unchanged to the executor."""
     scale = scale or default_scale()
-    [payload] = Executor(**execution).run([jobs.plan_job(width)], progress=progress)
+    [payload] = jobs.run_jobs([jobs.plan_job(width)], progress, **execution)
     plan = jobs.plan_from_dict(payload["plan"])
     ai_deck_w = AIDeckPowerModel().power_w(plan.performance)
     breakdown = platform_power_breakdown(ai_deck_w)

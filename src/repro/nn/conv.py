@@ -10,9 +10,15 @@ and every 1x1 pointwise conv) and 3x3 depthwise convolutions.
 - Any other :class:`Conv2d` (the 3x3 stride-2 stem) unfolds its input with
   :func:`~repro.nn.functional.im2col`, multiplies with ``matmul`` and folds
   the input gradient back with :func:`~repro.nn.functional.col2im`.
-- :class:`DepthwiseConv2d` accumulates k x k shifted slices of its padded
-  input, one kernel tap at a time, so no column copy is made.
+- :class:`DepthwiseConv2d` takes and returns NCHW arrays but computes
+  channels-last. It copies its input into a zero-padded ``(N, H, W, C)``
+  buffer and accumulates k x k shifted slices of it, one kernel tap at a
+  time, so each multiply runs over whole rows of channels instead of one
+  short image row, and no column copy is made. Its backward scatters the
+  taps of a channels-last copy of the gradient the same way.
 
+Both layers reduce their weight and bias gradients over a C-ordered copy
+of the incoming gradient, so the result does not depend on its layout.
 Layers compute in the dtype of their input and weights (float32 in a
 training step, float64 elsewhere) and modify in place only arrays they
 allocated.
@@ -108,6 +114,10 @@ class Conv2d(Module):
         if self._cache is None:
             raise ShapeError("backward called before forward")
         x_shape, flat = self._cache
+        # The gradient sums follow memory order: reduce a C-ordered copy,
+        # as DepthwiseConv2d and BatchNorm2d do, so that the SSD heads'
+        # channel-last gradients give the bits of a contiguous one.
+        grad_out = np.ascontiguousarray(grad_out)
         n, _, out_h, out_w = grad_out.shape
         g = grad_out.reshape(n, self.out_channels, out_h * out_w)
         w2d = self.weight.data.reshape(self.out_channels, -1)
@@ -166,11 +176,11 @@ class DepthwiseConv2d(Module):
         return self.channels * k * k * out_h * out_w
 
     def _windows(self, out_h: int, out_w: int):
-        """Yield ``(i, j, index)``: the padded-input slice kernel tap (i, j) reads."""
+        """Yield ``(i, j, index)``: the padded NHWC slice kernel tap (i, j) reads."""
         k, s = self.kernel_size, self.stride
         for i in range(k):
             for j in range(k):
-                yield i, j, np.s_[:, :, i : i + s * out_h : s, j : j + s * out_w : s]
+                yield i, j, np.s_[:, i : i + s * out_h : s, j : j + s * out_w : s]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.channels:
@@ -181,38 +191,43 @@ class DepthwiseConv2d(Module):
         n, c, h, w = x.shape
         out_h = conv_output_size(h, k, s, p)
         out_w = conv_output_size(w, k, s, p)
-        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-        xp[:, :, p : p + h, p : p + w] = x
-        wt = self.weight.data
+        xp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        xp[:, p : p + h, p : p + w] = x.transpose(0, 2, 3, 1)
+        # Each tap's weights repeated along an output row, so that both
+        # operands of a tap's multiply run contiguously over (W_out, C).
+        taps = np.ascontiguousarray(
+            np.broadcast_to(self.weight.data.transpose(1, 2, 0)[:, :, None], (k, k, out_w, c))
+        )
         windows = self._windows(out_h, out_w)
         i, j, window = next(windows)
-        out = np.multiply(xp[window], wt[:, i, j, None, None])
+        out = np.multiply(xp[window], taps[i, j])
         term = np.empty_like(out)
         for i, j, window in windows:
-            np.multiply(xp[window], wt[:, i, j, None, None], out=term)
+            np.multiply(xp[window], taps[i, j], out=term)
             out += term
         if self.bias is not None:
-            out += self.bias.data[None, :, None, None]
-        self._cache = (x.shape, xp)
-        return out
+            out += self.bias.data
+        self._cache = (x.shape, xp, taps)
+        return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise ShapeError("backward called before forward")
-        (_, _, h, w), xp = self._cache
-        # The bias sum follows memory order: reduce a C-ordered copy, as
-        # BatchNorm2d does, so its bits do not depend on the caller's layout.
-        grad_out = np.ascontiguousarray(grad_out)
-        out_h, out_w = grad_out.shape[2], grad_out.shape[3]
+        (_, _, h, w), xp, taps = self._cache
+        # A C-ordered channels-last copy: the sums below then run in one
+        # memory order, whatever the caller's layout.
+        grad = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1))
+        out_h, out_w = grad.shape[1], grad.shape[2]
         p = self.padding
-        wt = self.weight.data
-        dtype = np.result_type(grad_out, wt)
+        dtype = np.result_type(grad, taps)
         grad_xp = np.zeros(xp.shape, dtype=dtype)
-        term = np.empty(grad_out.shape, dtype=dtype)
+        term = np.empty(grad.shape, dtype=dtype)
         for i, j, window in self._windows(out_h, out_w):
-            self.weight.grad[:, i, j] += np.einsum("nchw,nchw->c", grad_out, xp[window])
-            np.multiply(grad_out, wt[:, i, j, None, None], out=term)
+            # Per channel in two stages, over the N * H_out rows and then
+            # along W_out: one sum over all three loses float32 accuracy.
+            self.weight.grad[:, i, j] += np.einsum("nhwc,nhwc->wc", grad, xp[window]).sum(axis=0)
+            np.multiply(grad, taps[i, j], out=term)
             grad_xp[window] += term
         if self.bias is not None:
-            self.bias.grad += grad_out.sum(axis=(0, 2, 3))
-        return grad_xp[:, :, p : p + h, p : p + w]
+            self.bias.grad += grad.sum(axis=(0, 1)).sum(axis=0)
+        return np.ascontiguousarray(grad_xp[:, p : p + h, p : p + w].transpose(0, 3, 1, 2))

@@ -3,7 +3,8 @@
 In float training only a dense conv that is not 1x1, stride 1 and
 unpadded runs through them: in the detectors that is the 3x3 stride-2
 stem, while the pointwise convs are plain ``matmul`` calls and the
-depthwise convs accumulate shifted slices (see :mod:`repro.nn.conv`).
+depthwise convs accumulate shifted slices of a channels-last copy of
+their input (see :mod:`repro.nn.conv`).
 The int8 inference kernels of the quantization package unfold every
 conv with :func:`im2col`, so both accept any numeric dtype.
 """

@@ -156,8 +156,10 @@ MISSION_JOB_VERSION = register("repro.sim.mission-job", 3)
 #: History: v2 = ``matmul`` pointwise convs, shifted-slice depthwise
 #: convs and the sum-reusing BatchNorm, whose float reductions run in
 #: another order, so trained weights differ in their last bits; v3 =
-#: training steps computed in float32 on float64 master weights.
-EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 3)
+#: training steps computed in float32 on float64 master weights; v4 =
+#: channels-last depthwise convs, whose weight gradients reduce in two
+#: stages, and ``Conv2d`` gradients reduced over C-ordered copies.
+EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 4)
 
 #: ``python -m repro.lint --format json`` report documents.
 LINT_REPORT_SCHEMA = register("repro.lint.report", 1)

@@ -356,7 +356,9 @@ def _cmd_run(args) -> int:
         )
         return 0
     progress_line = (
-        ProgressLine(f"campaign {campaign.name!r}") if args.progress else None
+        ProgressLine(f"campaign {campaign.name!r}")
+        if args.progress and not args.quiet
+        else None
     )
     start = time.perf_counter()
     broker = Broker(args.broker) if args.broker else None
@@ -470,7 +472,10 @@ def main(argv=None) -> int:
     )
     run.add_argument("--name", default="cli", help="campaign name used in the result file")
     run.add_argument("--out", default=None, help="directory for the JSON result (default: don't persist)")
-    run.add_argument("--quiet", action="store_true", help="suppress per-mission progress lines")
+    run.add_argument(
+        "--quiet", action="store_true",
+        help="suppress the per-mission lines and the --progress line",
+    )
     run.add_argument(
         "--record", action="store_true",
         help="store a per-tick flight trace beside each mission's cache "

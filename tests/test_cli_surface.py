@@ -237,6 +237,19 @@ BAD_RESULT_FILES = {
 }
 
 
+class TestQuiet:
+    def test_quiet_silences_the_progress_line_too(self, capsys):
+        argv = [
+            "run", "--scenario", "paper-room", "--runs", "1", "--flight-time",
+            "2", "--no-cache", "--quiet", "--progress",
+        ]
+        assert sim_cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert "\r" not in out + err and " jobs (" not in out + err
+        assert "[1/" not in out  # no per-mission line either
+        assert " missions in " in out  # the summary still prints
+
+
 class TestBadValues:
     """Bad poll intervals, wait timeouts, job files and result files end
     in ``error: ...`` and exit 2, not in a traceback or a busy loop."""

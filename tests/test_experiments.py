@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.errors import ExecError
 from repro.exec.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec, injected
 from repro.experiments import SMOKE_SCALE
 from repro.experiments.__main__ import main as experiments_main
@@ -105,6 +106,27 @@ class TestFlightExperiments:
         assert (np.diff(result.mean_coverage) >= -1e-9).all()
         text = fig6.format_figure(result)
         assert "coverage" in text
+
+
+class TestLostJobs:
+    @pytest.mark.parametrize("name", ["table1", "table2", "table4", "fig3"])
+    def test_keep_going_raises_naming_every_lost_job(self, name, monkeypatch):
+        """An experiment that needs every job's payload raises ``ExecError``
+        naming each lost job, after all of them ran."""
+        plan = FaultPlan((FaultSpec(kind="raise", attempt=None, permanent=True),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        run = {"table1": table1, "table2": table2, "table4": table4, "fig3": fig3}[name].run
+        labels = []
+
+        def progress(done, total, job, payload, cached):
+            labels.append(job.label)
+
+        with pytest.raises(ExecError) as raised:
+            run(SMOKE_SCALE, keep_going=True, progress=progress)
+        message = str(raised.value)
+        assert message.startswith(f"{len(labels)} of {len(labels)} jobs lost: ")
+        for label in labels:
+            assert f"{label} failed after 1 attempt(s): ExecError: injected fault" in message
 
 
 class TestLostMissions:

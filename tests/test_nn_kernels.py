@@ -48,8 +48,8 @@ def test_configurations_the_detectors_lack_match_the_reference(key):
     assert nnref.check_layer(key, np.random.default_rng(23)) == []
 
 
-# In a training step the conv backward receives the SSD heads' transposed
-# gradients, and ReLU6 the depthwise backward's strided views.
+# In a training step the conv backward receives the SSD heads' channel-last
+# gradients; every layer must give the same bits for any layout.
 LAYERS = {
     "pointwise": lambda rng: Conv2d(6, 5, 1, rng=rng),
     "stem": lambda rng: Conv2d(6, 5, 3, stride=2, padding=1, bias=True, rng=rng),
@@ -74,12 +74,13 @@ def _run(layer, x, g):
     return [out, dx] + grads + buffers
 
 
-# The gradient layouts a training step passes, as id suffixes: a strided
-# view like the one the depthwise backward returns, and a transposed view
-# like the SSD heads' gradients.
+# Non-contiguous gradient layouts, as id suffixes: a strided view like a
+# padded buffer's interior, a transposed view, and the channel-last view
+# the SSD heads pass their convolutions.
 GRADIENTS = {
     "": lambda a, n, c, h, w: a((n, c, h + 2, w + 2))[:, :, 1:-1, 1:-1],
     "-transposed": lambda a, n, c, h, w: a((n, c, w, h)).transpose(0, 1, 3, 2),
+    "-channels-last": lambda a, n, c, h, w: a((n, h, w, c)).transpose(0, 3, 1, 2),
 }
 DTYPES = {"": np.float64, "-float32": np.float32}
 
@@ -109,3 +110,27 @@ def test_non_contiguous_arrays_give_the_contiguous_results(name, gradient, dtype
     want = _run(layer, np.ascontiguousarray(x), np.ascontiguousarray(g))
     for a, b in zip(got, want):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "shape, stride", [((8, 8, 24, 32), 1), ((8, 48, 24, 32), 2)], ids=["s1", "s2"]
+)
+def test_float32_depthwise_parameter_gradients_stay_accurate(shape, stride):
+    """On two detector shapes, a float32 step's weight and bias gradients
+    stay within 6e-7 of the float64 reference, relative to its largest
+    magnitude. Summing each channel's products in one pass over all
+    N * H * W positions reads above 1e-6 here."""
+    rng = np.random.default_rng(0)
+    layer = DepthwiseConv2d(shape[1], 3, stride=stride, padding=1, bias=True, rng=rng)
+    layer.bias.data = rng.standard_normal(shape[1])
+    for p in layer.parameters():
+        p.data = p.data.astype(np.float32)
+    x = rng.standard_normal(shape).astype(np.float32)
+    g = rng.standard_normal(layer.forward(x).shape).astype(np.float32)
+    layer.backward(g)
+    _, ref_dw, ref_db = nnref.depthwise_backward(
+        x.astype(np.float64), layer.weight.data.astype(np.float64), stride, 1,
+        g.astype(np.float64),
+    )
+    for got, ref in ((layer.weight.grad, ref_dw), (layer.bias.grad, ref_db)):
+        assert np.abs(got - ref).max() <= 6e-7 * np.abs(ref).max()
