@@ -30,7 +30,8 @@ from repro.sim.__main__ import CACHE_ACTIONS, cache_command, failure_line
 
 #: Each experiment's ``run`` and the function that renders its result.
 #: Every ``run`` takes a live ``progress`` callback and hands any other
-#: keyword (here ``workers``, ``cache`` and ``retry``) to its executor.
+#: keyword (here ``workers``, ``cache``, ``retry`` and ``keep_going``)
+#: to its executor.
 _EXPERIMENTS = {
     "table1": (table1.run, table1.format_table),
     "table2": (table2.run, table2.format_table),
@@ -41,10 +42,11 @@ _EXPERIMENTS = {
     "fig6": (fig6.run, fig6.format_figure),
 }
 
-#: The campaign-backed experiments, which also take ``keep_going`` and
-#: shard through ``--broker``: a campaign aggregates over whichever
-#: missions survived, but a table built from per-width jobs has no
-#: meaningful partial result.
+#: The campaign-backed experiments, which also shard through
+#: ``--broker``. Under ``keep_going`` a campaign aggregates over whichever
+#: missions survived; a table built from per-width jobs has no
+#: meaningful partial result, so it lets every job finish and then
+#: fails naming each lost one.
 _CAMPAIGNS = frozenset({"table3", "fig5", "fig6"})
 
 
@@ -117,9 +119,11 @@ def _run(names, args) -> int:
             hits = cache.hits if cache else 0
             misses = cache.misses if cache else 0
             line = ProgressLine(name) if args.progress else None
-            knobs = dict(workers=args.workers, cache=cache, retry=retry)
+            knobs = dict(
+                workers=args.workers, cache=cache, retry=retry, keep_going=args.keep_going
+            )
             if name in _CAMPAIGNS:
-                knobs.update(keep_going=args.keep_going, broker=broker)
+                knobs.update(broker=broker)
             run, render = _EXPERIMENTS[name]
             try:
                 result = run(scale, progress=line, **knobs)

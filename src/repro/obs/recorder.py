@@ -17,8 +17,9 @@ the trace's ``timings`` section only, which the replay bit-identity
 contract deliberately ignores (see :mod:`repro.obs.trace`). The mission
 tick loop (:func:`repro.mission.loop.fly`) wraps its bound callables --
 ranger read, policy update, drone step, mocap, camera, detector -- in
-:meth:`FlightRecorder.timed` when recording, so each call adds its own
-wall clock to its phase and the unrecorded loop times nothing.
+:meth:`FlightRecorder.timed` when recording: one clock read per call,
+laps that partition the loop's wall clock into phases. The unrecorded
+loop times nothing.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ class FlightRecorder:
         self.detections: List[List[Any]] = []
         self.coverage: Dict[str, List[float]] = {"t": [], "value": []}
         self.phases: Dict[str, float] = {}
+        self._lap = [0.0]  # clock reading at the end of the latest lap
 
     @property
     def n_ticks(self) -> int:
@@ -113,15 +115,25 @@ class FlightRecorder:
         self.detections.append([name, object_class, t, distance_m])
 
     def timed(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
-        """``fn`` wrapped to add the wall clock of every call to phase ``name``."""
+        """``fn`` wrapped as a lap of phase ``name``.
+
+        Every wrapped call reads the clock once, when ``fn`` returns, and
+        adds the time since the previous lap (or since the latest
+        ``timed`` call, for the first lap) to its phase. The phases
+        therefore partition the loop's wall clock: the loop's own work
+        between two wrapped calls counts toward the second.
+        """
         phases = self.phases
         phases.setdefault(name, 0.0)
         clock = time.perf_counter
+        lap = self._lap
+        lap[0] = clock()
 
         def timed_call(*args: Any) -> Any:
-            start = clock()
             result = fn(*args)
-            phases[name] += clock() - start
+            now = clock()
+            phases[name] += now - lap[0]
+            lap[0] = now
             return result
 
         return timed_call

@@ -24,13 +24,18 @@ numpy expression, so grid and brute-force answers are bit-identical --
 equivalence tests pin against. This is what keeps ``is_free`` /
 ``clearance`` O(cell) on generated 1000+-segment worlds
 (:mod:`repro.sim.generators`).
+
+Most collision checks find a drone in open floor, though: in a room with
+obstacles, ``is_free`` answers ``True`` at once for a point in a cell of
+the margin's clear-cell raster (:class:`_ClearCells`), where the exact
+test above would answer ``True`` too, and runs that test elsewhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +55,13 @@ POINT_GRID_THRESHOLD = 64
 #: Obstacle count at which ``accel="auto"`` buckets the per-obstacle
 #: ``contains`` scan of :meth:`Room.is_free`.
 OBSTACLE_GRID_THRESHOLD = 16
+
+#: Cells of a :class:`_ClearCells` raster along the room's longer wall.
+CLEAR_CELLS = 256
+
+#: Growth, in metres, added to the margin around every box a clear cell
+#: must avoid: it absorbs the rounding of the exact test's distances.
+CLEAR_SLACK_M = 1e-9
 
 
 def _shape_bbox(shape: ObstacleShape) -> Tuple[float, float, float, float]:
@@ -201,14 +213,18 @@ class _SegmentDistanceField:
         self._wx = np.empty(self._n, dtype=np.float64)
         self._wy = np.empty(self._n, dtype=np.float64)
         if (grid and self._n >= POINT_GRID_THRESHOLD) or force_grid:
-            bx = self._ax + self._dx
-            by = self._ay + self._dy
-            self._grid = _BBoxBuckets(
-                np.minimum(self._ax, bx),
-                np.minimum(self._ay, by),
-                np.maximum(self._ax, bx),
-                np.maximum(self._ay, by),
-            )
+            self._grid = _BBoxBuckets(*self.bboxes())
+
+    def bboxes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(xmin, ymin, xmax, ymax)`` of every segment, as four arrays."""
+        bx = self._ax + self._dx
+        by = self._ay + self._dy
+        return (
+            np.minimum(self._ax, bx),
+            np.minimum(self._ay, by),
+            np.maximum(self._ax, bx),
+            np.maximum(self._ay, by),
+        )
 
     def min_distance(self, p: Vec2) -> float:
         """Distance from ``p`` to the closest segment of the set."""
@@ -307,6 +323,74 @@ class _SegmentDistanceField:
         return np.hypot(self._u, self._t, out=self._u)
 
 
+class _ClearCells:
+    """The cells of a room where :meth:`Room.is_free` holds, at one margin.
+
+    Square cells, :data:`CLEAR_CELLS` along the longer wall, cover the
+    room; ``(x, y)`` falls in cell ``(floor(y * inv), floor(x * inv))``.
+    A cell is clear when its column and row lie strictly between the
+    cells of the walls' margin thresholds and no obstacle or
+    obstacle-segment bounding box, grown by ``margin + CLEAR_SLACK_M``,
+    touches it. Edges and thresholds go through the query points' float
+    expression, which is monotone, so a point in a clear cell passes the
+    walls' test and lies farther than ``margin`` from every obstacle
+    boundary (docs/determinism.md has the argument).
+    """
+
+    __slots__ = ("inv", "nx", "ny", "flat", "bits")
+
+    def __init__(self, bounds: AABB, boxes: Sequence[np.ndarray], margin: float):
+        inv = CLEAR_CELLS / max(bounds.xmax, bounds.ymax)
+        nx = int(bounds.xmax * inv) + 1
+        ny = int(bounds.ymax * inv) + 1
+
+        def index(v: np.ndarray, n: int) -> np.ndarray:
+            return np.clip(np.floor(v * inv), 0, n - 1).astype(np.intp)
+
+        # One 2-D difference array, +1/-1 at the corners of every grown
+        # box's cell range (clipping only ever covers more cells); two
+        # running sums count the boxes touching each cell. Each row of
+        # the array sums to zero, so the running sum of the flat array
+        # is the running sum along every row.
+        grow = margin + CLEAR_SLACK_M
+        xmin, ymin, xmax, ymax = boxes
+        w = nx + 1
+        x0 = index(xmin - grow, nx)
+        x1 = index(xmax + grow, nx) + 1
+        y0 = index(ymin - grow, ny) * w
+        y1 = (index(ymax + grow, ny) + 1) * w
+        corners = np.concatenate((y0 + x0, y0 + x1, y1 + x0, y1 + x1))
+        signs = np.repeat((1.0, -1.0, -1.0, 1.0), x0.size)
+        count = np.bincount(corners, signs, (ny + 1) * w).astype(np.int32)
+        count = count.cumsum(dtype=np.int32).reshape(ny + 1, w)
+        touched = count.cumsum(axis=0, dtype=np.int32)[:ny, :nx] > 0
+
+        def inside(n: int, lo: float, hi: float) -> np.ndarray:
+            # ``lo`` and ``hi`` are the very sums the walls' test compares.
+            cells = np.arange(n)
+            return (cells > np.floor(lo * inv)) & (cells < np.floor(hi * inv))
+
+        inside_x = inside(nx, bounds.xmin + margin, bounds.xmax - margin)
+        inside_y = inside(ny, bounds.ymin + margin, bounds.ymax - margin)
+        self.flat = (~touched & inside_y[:, None] & inside_x).ravel()
+        self.bits = self.flat.tobytes()
+        self.inv, self.nx, self.ny = inv, nx, ny
+
+    def hit(self, x: float, y: float) -> bool:
+        """True if ``(x, y)`` falls in a clear cell."""
+        fx, fy, nx = x * self.inv, y * self.inv, self.nx
+        inside = 0.0 <= fx < nx and 0.0 <= fy < self.ny
+        return inside and self.bits[int(fy) * nx + int(fx)] == 1
+
+    def hits(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """:meth:`hit` of every point, as a bool array."""
+        fx, fy = xs * self.inv, ys * self.inv
+        out: np.ndarray = (fx >= 0.0) & (fx < self.nx) & (fy >= 0.0) & (fy < self.ny)
+        idx = np.flatnonzero(out)
+        out[idx] = self.flat[fy[idx].astype(np.intp) * self.nx + fx[idx].astype(np.intp)]
+        return out
+
+
 class Room:
     """A rectangular room with walls and optional interior obstacles."""
 
@@ -328,8 +412,8 @@ class Room:
                 to the point-query fields: ``"auto"`` buckets free-space
                 queries above :data:`POINT_GRID_THRESHOLD` segments /
                 :data:`OBSTACLE_GRID_THRESHOLD` obstacles, ``"none"``
-                keeps the full-array reference path. Grid and reference
-                answers are bit-identical.
+                keeps the full-array reference path (and no clear-cell
+                raster). Every mode gives bit-identical answers.
         """
         if width <= 0.0 or length <= 0.0:
             raise WorldError(f"non-positive room dimensions {width} x {length}")
@@ -339,6 +423,10 @@ class Room:
             self._check_inside(obs)
         self._raycaster = RayCaster(self.all_segments(), accel=accel)
         self._build_query_arrays(accel)
+        # Clear-cell rasters by margin; the walls' test alone is cheap.
+        self._clear_cells: Optional[Dict[float, _ClearCells]] = (
+            {} if self._obstacles and accel != "none" else None
+        )
 
     def _build_query_arrays(self, accel: str) -> None:
         """Flatten obstacle geometry for the vectorized free-space tests."""
@@ -412,6 +500,9 @@ class Room:
             p: the point to test.
             margin: clearance required from walls and obstacle boundaries.
         """
+        cells = self._raster(margin)
+        if cells is not None and cells.hit(p.x, p.y):
+            return True
         if not self._bounds.contains(p, margin=margin):
             return False
         index = self._obstacle_index
@@ -439,12 +530,12 @@ class Room:
         """Vectorized :meth:`is_free` over ``N`` points, as a bool array.
 
         Entry ``i`` equals ``is_free(Vec2(xs[i], ys[i]), margin)``
-        exactly. Obstacle-free rooms (the paper room, the empty arena --
-        the worlds fleet throughput is measured on) reduce to four
-        vectorized wall comparisons with the same ``xmin + margin``
-        thresholds the scalar test evaluates; rooms with obstacles fall
-        back to the scalar query per point, which keeps the answer
-        trivially bit-identical to the serial collision checker.
+        exactly. Obstacle-free rooms (the paper room, the empty arena)
+        reduce to four vectorized wall comparisons with the same
+        ``xmin + margin`` thresholds the scalar test evaluates. Rooms
+        with obstacles look every point up in the clear-cell raster in
+        one vectorized pass and run the scalar query only on the points
+        outside a clear cell (on every point under ``accel="none"``).
         """
         x_arr = np.asarray(xs, dtype=np.float64)
         y_arr = np.asarray(ys, dtype=np.float64)
@@ -458,14 +549,29 @@ class Room:
             out &= y_arr >= lo_y
             out &= y_arr <= hi_y
             return out
+        cells = self._raster(margin)
+        out = np.zeros(x_arr.shape, bool) if cells is None else cells.hits(x_arr, y_arr)
+        rest = np.flatnonzero(~out)
         is_free = self.is_free
-        return np.array(
-            [
-                is_free(Vec2(x, y), margin)
-                for x, y in zip(x_arr.tolist(), y_arr.tolist())
-            ],
-            dtype=bool,
-        )
+        for i, x, y in zip(rest.tolist(), x_arr[rest].tolist(), y_arr[rest].tolist()):
+            out[i] = is_free(Vec2(x, y), margin)
+        return out
+
+    def _raster(self, margin: float) -> Optional[_ClearCells]:
+        """The clear-cell raster at ``margin``, built on first use; ``None``
+        without one (a negative margin shrinks the obstacles)."""
+        rasters = self._clear_cells
+        if rasters is None or not margin >= 0.0:
+            return None
+        cells = rasters.get(margin)
+        if cells is None:
+            shapes = np.array([_shape_bbox(o.shape) for o in self._obstacles]).T
+            boxes = [
+                np.concatenate(pair)
+                for pair in zip(shapes, self._obstacle_field.bboxes())
+            ]
+            cells = rasters[margin] = _ClearCells(self._bounds, boxes, margin)
+        return cells
 
     def clearance(self, p: Vec2) -> float:
         """Distance from ``p`` to the nearest wall or obstacle boundary.

@@ -128,6 +128,20 @@ class TestLostJobs:
         for label in labels:
             assert f"{label} failed after 1 attempt(s): ExecError: injected fault" in message
 
+    def test_cli_keep_going_reaches_every_job(self, monkeypatch, capsys):
+        """``--keep-going`` reaches the job experiments too: every width
+        runs, and the error names each lost one instead of asking for the
+        flag the user gave."""
+        plan = FaultPlan((FaultSpec(kind="raise", attempt=None, permanent=True),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
+        assert experiments_main(["table2", "--no-cache", "--keep-going"]) == 2
+        err = capsys.readouterr().err
+        n = len(SMOKE_SCALE.widths)
+        assert err.startswith(f"error: {n} of {n} jobs lost: ")
+        assert "pass keep_going" not in err
+        for width in SMOKE_SCALE.widths:
+            assert f"deploy width {width:g}x failed" in err
+
 
 class TestLostMissions:
     """``--keep-going`` reports every lost mission and exits 1."""

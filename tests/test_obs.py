@@ -1,6 +1,7 @@
 """Unit tests of the observability capture layer: trace, recorder, store."""
 
 import io
+import time
 
 import pytest
 
@@ -82,6 +83,15 @@ class TestRecorder:
         trace = rec.finish({})
         assert trace.timings["ticks"] == 0
         assert "policy" in trace.timings["phases"]
+
+    def test_phases_are_laps_that_partition_the_wall_clock(self, monkeypatch):
+        readings = iter([0.0, 1.0, 3.0, 6.0, 10.0])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(readings))
+        rec = FlightRecorder("explore")
+        a = rec.timed("a", abs)  # reads 0.0
+        b = rec.timed("b", abs)  # reads 1.0: the first lap starts here
+        assert (a(-1), b(-2), a(-3)) == (1, 2, 3)  # read 3.0, 6.0, 10.0
+        assert rec.phases == {"a": (3.0 - 1.0) + (10.0 - 6.0), "b": 6.0 - 3.0}
 
     def test_events_recorded(self):
         trace = small_trace(2, kind="search", detections=[("b1", "bottle", 0.04, 1.2)])

@@ -67,6 +67,15 @@ PIN_SEARCH_TRACE_FINAL = (
 PIN_EXPLORE_TRACE_FINAL = (
     "02120cb6bba1fc56fc51fc2012c121ca794c29dc3a2d83c030f8d7ff634be9d7"
 )
+#: Result-JSON digests of :func:`obstacle_campaign`: the paper room has
+#: no obstacles, so these are the pins that reach the obstacle-room
+#: collision checks (boxes, circular columns, generated drums and boxes).
+PIN_OBSTACLE_SEARCH_RESULT_SHA256 = (
+    "2450a7b74ccfdf2256d217af8f06ab8a16aab2ea2122a83cffa55213e1ec65f2"
+)
+PIN_OBSTACLE_EXPLORE_RESULT_SHA256 = (
+    "ceb154e7a63543e4aa1d782cbe8b01d3d48746f66464a357880ce2e930120542"
+)
 
 
 def pin_campaign():
@@ -86,6 +95,24 @@ def explore_campaign():
         flight_time_s=6.0,
         seed=4,
         kind="explore",
+    )
+
+
+def obstacle_campaign(kind):
+    return Campaign(
+        name=f"obs-obstacles-{kind}",
+        scenarios=(get_scenario("dense-depot"), get_scenario("cluttered-office")),
+        generated=(
+            GeneratedSpec.create(
+                "scatter-field",
+                {"width": 8.0, "length": 6.0, "n_items": 12.0},
+                seed=2,
+            ),
+        ),
+        policies=("pseudo-random", "wall-following"),
+        flight_time_s=20.0,
+        seed=7,
+        kind=kind,
     )
 
 
@@ -232,8 +259,21 @@ class TestPrePRPins:
             (pin_campaign, PIN_RESULT_SHA256, 8),
             (explore_campaign, PIN_EXPLORE_RESULT_SHA256, None),
             (explore_campaign, PIN_EXPLORE_RESULT_SHA256, 8),
+            (lambda: obstacle_campaign("search"), PIN_OBSTACLE_SEARCH_RESULT_SHA256, None),
+            (lambda: obstacle_campaign("search"), PIN_OBSTACLE_SEARCH_RESULT_SHA256, 8),
+            (lambda: obstacle_campaign("explore"), PIN_OBSTACLE_EXPLORE_RESULT_SHA256, None),
+            (lambda: obstacle_campaign("explore"), PIN_OBSTACLE_EXPLORE_RESULT_SHA256, 8),
         ],
-        ids=["search-serial", "search-fleet", "explore-serial", "explore-fleet"],
+        ids=[
+            "search-serial",
+            "search-fleet",
+            "explore-serial",
+            "explore-fleet",
+            "obstacles-search-serial",
+            "obstacles-search-fleet",
+            "obstacles-explore-serial",
+            "obstacles-explore-fleet",
+        ],
     )
     def test_result_json_unchanged(self, campaign, pin, fleet_block):
         result = run_campaign(campaign(), fleet_block=fleet_block)

@@ -4,18 +4,24 @@ The point-query grid (``accel="auto"``/``"grid"``) gathers conservative
 candidate subsets and evaluates the identical elementwise arithmetic, so
 its answers must equal the full-array reference path (``accel="none"``)
 exactly -- including on the generated 1000+-segment worlds it exists for.
+The clear-cell raster in front of it answers ``True`` without the exact
+test, so its edges (cell boundaries, the margin distance, the walls'
+band) are probed one ulp at a time.
 """
 
 import numpy as np
 import pytest
 
 from repro.geometry.vec import Vec2
-from repro.sim import generate_scenario
+from repro.sim import generate_scenario, get_scenario
 from repro.world.layouts import cluttered_room
 from repro.world.room import (
+    CLEAR_CELLS,
+    CLEAR_SLACK_M,
     OBSTACLE_GRID_THRESHOLD,
     POINT_GRID_THRESHOLD,
     Room,
+    _shape_bbox,
 )
 
 MARGINS = (0.0, 0.07, 0.1, 0.35)
@@ -113,3 +119,106 @@ class TestThresholds:
         assert room._all_field._grid is None
         assert room._obstacle_field._grid is None
         assert room._obstacle_index is None
+
+
+def _clear_cell_points(room, margin, seed):
+    """Points where a clear-cell raster at ``margin`` could go wrong.
+
+    Cell edges and one ulp either side around every grown obstacle box
+    and the walls' margin band; points at ``margin`` and one ulp either
+    side of it from segment midpoints, along both normals; points deep
+    inside obstacles and inside the walls' margin band; and uniform
+    points, most of which land in clear cells.
+    """
+    rng = np.random.default_rng(seed)
+    h = max(room.width, room.length) / CLEAR_CELLS
+    grow = margin + CLEAR_SLACK_M
+
+    def ulps(v):
+        return (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf))
+
+    def edges(v):
+        """The cell edges ``k * h`` around ``v``, each with its ulp neighbours."""
+        k = int(np.floor(v / h))
+        return [float(u) for j in range(k - 1, k + 3) for u in ulps(j * h)]
+
+    pts = []
+    for obs in room.obstacles[:60]:
+        xmin, ymin, xmax, ymax = _shape_bbox(obs.shape)
+        cx, cy = (xmin + xmax) / 2.0, (ymin + ymax) / 2.0
+        pts += [Vec2(x, cy) for x in edges(xmin - grow) + edges(xmax + grow)]
+        pts += [Vec2(cx, y) for y in edges(ymin - grow) + edges(ymax + grow)]
+        for tx in (0.25, 0.5, 0.75):
+            for ty in (0.25, 0.5, 0.75):
+                pts.append(Vec2(xmin + tx * (xmax - xmin), ymin + ty * (ymax - ymin)))
+        for seg in obs.segments():
+            d = seg.b - seg.a
+            n = Vec2(-d.y, d.x) * (1.0 / d.norm())
+            mid = (seg.a + seg.b) * 0.5
+            for side in (-1.0, 1.0):
+                base = mid + n * (side * margin)
+                for x, y in zip(ulps(base.x), ulps(base.y)):
+                    pts.append(Vec2(float(x), float(y)))
+    # Across the walls' margin band: the cell edges of its thresholds and
+    # the middle of the band, at a few places along each wall.
+    for extent, span, across_x in ((room.width, room.length, True), (room.length, room.width, False)):
+        for v in edges(margin) + edges(extent - margin) + [margin / 2.0, extent - margin / 2.0]:
+            for u in rng.uniform(0.0, span, 4):
+                pts.append(Vec2(v, u) if across_x else Vec2(u, v))
+    for _ in range(300):
+        pts.append(Vec2(rng.uniform(0.0, room.width), rng.uniform(0.0, room.length)))
+    return pts
+
+
+class TestClearCells:
+    """The clear-cell raster never changes an answer of the exact test."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ("cluttered-office", None),
+            ("perfect-maze", 4),
+            ("random-apartment", 4),
+            ("cluttered-warehouse", 4),
+            ("scatter-field", 4),
+        ],
+        ids=lambda s: s[0],
+    )
+    def test_auto_equals_reference_at_raster_edges(self, scenario):
+        name, seed = scenario
+        if seed is None:
+            spec = get_scenario(name).room
+        else:
+            spec = generate_scenario(name, {}, seed=seed).room
+        obstacles = [o.build() for o in spec.obstacles]
+        brute = Room(spec.width, spec.length, obstacles, accel="none")
+        auto = Room(spec.width, spec.length, obstacles, accel="auto")
+        for margin in MARGINS:
+            pts = _clear_cell_points(brute, margin, seed=7)
+            expected = [brute.is_free(p, margin=margin) for p in pts]
+            got = [auto.is_free(p, margin=margin) for p in pts]
+            wrong = [(p, margin) for p, e, g in zip(pts, expected, got) if e != g]
+            assert not wrong, wrong[:5]
+            xs = np.array([p.x for p in pts])
+            ys = np.array([p.y for p in pts])
+            assert auto.is_free_many(xs, ys, margin).tolist() == expected
+            # The fast path is live on these points, not bypassed.
+            cells = auto._raster(margin)
+            assert cells is not None and cells.hits(xs, ys).sum() > 100
+            assert brute._raster(margin) is None
+
+    def test_rooms_without_a_raster(self):
+        assert Room(6.5, 5.5, accel="auto")._raster(0.07) is None
+        room = get_scenario("cluttered-office").build_room()
+        assert room._raster(-0.05) is None  # a negative margin shrinks boxes
+        assert room._raster(0.07) is room._raster(0.07)
+
+    def test_negative_margin_takes_the_exact_test(self):
+        spec = get_scenario("cluttered-office").room
+        obstacles = [o.build() for o in spec.obstacles]
+        brute = Room(spec.width, spec.length, obstacles, accel="none")
+        auto = Room(spec.width, spec.length, obstacles, accel="auto")
+        pts = _clear_cell_points(brute, 0.05, seed=3)
+        for margin in (-0.05, -0.0):
+            expected = [brute.is_free(p, margin=margin) for p in pts]
+            assert [auto.is_free(p, margin=margin) for p in pts] == expected
