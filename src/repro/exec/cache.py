@@ -20,10 +20,10 @@ The cache also maintains itself. An entry that fails to parse is
 being re-read forever, stays available for a post-mortem, and shows up
 in :meth:`ResultCache.stats` instead of masquerading as an eternal
 miss. ``.tmp-*`` files abandoned by crashed writers are counted by
-``stats()``, removed by ``clear()``, and swept by
-:meth:`ResultCache.sweep_orphans`. :meth:`ResultCache.evict` bounds the
-directory with an LRU policy (by mtime; a cache hit refreshes an
-entry's mtime), deleting paired flight traces along with their entries.
+``stats()`` and removed by ``clear()`` and ``evict()``.
+:meth:`ResultCache.evict` bounds the directory with an LRU policy (by
+mtime; a cache hit refreshes an entry's mtime), deleting paired flight
+traces along with their entries.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ TRACE_SUFFIX = ".trace.json.gz"
 
 #: Suffix appended to a corrupt entry when it is quarantined.
 QUARANTINE_SUFFIX = ".quarantined"
-
-#: Default age below which ``.tmp-*`` files are presumed to belong to a
-#: live writer and left alone by :meth:`ResultCache.sweep_orphans`.
-ORPHAN_MIN_AGE_S = 3600.0
 
 
 def parse_size(text: str) -> int:
@@ -383,37 +379,6 @@ class ResultCache:
             except OSError:  # pragma: no cover - racing deletion
                 continue
         return removed
-
-    def sweep_orphans(
-        self, min_age_s: float = ORPHAN_MIN_AGE_S, now: Optional[float] = None
-    ) -> Tuple[int, int]:
-        """Remove ``.tmp-*`` files older than ``min_age_s`` seconds.
-
-        Temp files younger than the threshold may belong to a writer
-        that is still alive, so they are left alone (a finishing writer
-        renames its temp file away; deleting it under the writer would
-        turn an atomic store into an error).
-
-        Returns:
-            ``(removed, freed_bytes)``.
-        """
-        if now is None:
-            now = time.time()
-        removed = 0
-        freed = 0
-        for kind, path in self._stray_files():
-            if kind != "orphan":
-                continue
-            try:
-                info = os.stat(path)
-                if now - info.st_mtime < min_age_s:
-                    continue
-                os.unlink(path)
-            except OSError:  # pragma: no cover - racing deletion
-                continue
-            removed += 1
-            freed += info.st_size
-        return removed, freed
 
     def evict(
         self,

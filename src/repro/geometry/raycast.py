@@ -248,16 +248,9 @@ class RayCaster:
         accel: ``"auto"`` (grid above :data:`GRID_SEGMENT_THRESHOLD`
             segments), ``"grid"`` (always), or ``"none"`` (brute-force
             broadcast reference path).
-        grid_threshold: segment count at which ``"auto"`` enables the
-            grid.
     """
 
-    def __init__(
-        self,
-        segments: Iterable[Segment],
-        accel: str = "auto",
-        grid_threshold: int = GRID_SEGMENT_THRESHOLD,
-    ):
+    def __init__(self, segments: Iterable[Segment], accel: str = "auto"):
         segs: Tuple[Segment, ...] = tuple(segments)
         if not segs:
             raise GeometryError("RayCaster needs at least one segment")
@@ -271,7 +264,7 @@ class RayCaster:
         self._ex = np.array([s.b.x - s.a.x for s in segs], dtype=np.float64)
         self._ey = np.array([s.b.y - s.a.y for s in segs], dtype=np.float64)
         self._grid: Optional[_UniformGrid] = None
-        if accel == "grid" or (accel == "auto" and n >= grid_threshold):
+        if accel == "grid" or (accel == "auto" and n >= GRID_SEGMENT_THRESHOLD):
             self._grid = _UniformGrid(self._ax, self._ay, self._ex, self._ey)
         self.accel = "grid" if self._grid is not None else "none"
         # Python-list mirrors for the small-problem scalar path (list

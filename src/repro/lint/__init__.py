@@ -9,16 +9,15 @@ resolvable job callables. ``repro.lint`` machine-checks them at review
 time:
 
     python -m repro.lint src                # text findings, exit 1 if any
-    python -m repro.lint src --format json  # machine-readable report
+    python -m repro.lint src --format json  # repro.lint.report/v2 document
     python -m repro.lint --list-rules       # the rule catalog
 
-Rules are AST-based plugins (see :mod:`repro.lint.registry`), findings
-can be suppressed inline with ``# repro: noqa[RPRxxx] reason`` (reason
-mandatory) or grandfathered in a shrink-only committed baseline
-(:mod:`repro.lint.baseline`). ``docs/linting.md`` is the rule catalog.
+Rules are AST-based plugins (see :mod:`repro.lint.registry`). A finding
+can be silenced only inline, with ``# repro: noqa[RPRxxx] reason``
+(reason mandatory); every other finding fails the run.
+``docs/linting.md`` is the rule catalog.
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintReport, iter_python_files, lint_paths, lint_source
 from repro.lint.findings import Finding
 from repro.lint.registry import (
@@ -32,7 +31,6 @@ from repro.lint.registry import (
 )
 
 __all__ = [
-    "Baseline",
     "FileContext",
     "Finding",
     "LintError",

@@ -1,19 +1,19 @@
 """CLI entry point: ``python -m repro.lint [paths] [options]``.
 
-Exit codes: ``0`` clean, ``1`` new findings (or stale baseline entries
-under ``--check-baseline``), ``2`` usage errors.
+Exit codes: ``0`` clean, ``1`` findings, ``2`` usage errors (including
+a path that does not exist).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintReport, lint_paths
-from repro.lint.registry import LintError, rule_catalog
+from repro.lint.registry import rule_catalog
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,22 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="committed baseline of grandfathered findings",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite --baseline with the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="also fail when the baseline holds stale (fixed) entries",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog and exit",
@@ -64,15 +48,9 @@ def _render_text(report: LintReport) -> str:
         lines.append(f"{finding.location()}: {finding.code} {finding.message}")
         if finding.snippet:
             lines.append(f"    {finding.snippet}")
-    for key in report.stale_baseline:
-        lines.append(f"baseline: stale entry {key} (finding fixed; remove it)")
-    summary = (
-        f"{report.files_scanned} files scanned: "
-        f"{len(report.findings)} new finding(s), "
-        f"{len(report.grandfathered)} grandfathered, "
-        f"{len(report.stale_baseline)} stale baseline entr(y/ies)"
+    lines.append(
+        f"{report.files_scanned} files scanned: {len(report.findings)} finding(s)"
     )
-    lines.append(summary)
     return "\n".join(lines)
 
 
@@ -86,35 +64,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{meta.code} {meta.name}: {meta.summary}")
         return 0
 
-    baseline: Optional[Baseline] = None
-    if args.baseline is not None:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except LintError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    missing = [path for path in args.paths if not os.path.exists(path)]
+    for path in missing:
+        print(f"error: no such file or directory: {path}", file=sys.stderr)
+    if missing:
+        return 2
 
-    report = lint_paths(args.paths, baseline=baseline)
-
-    if args.write_baseline:
-        if args.baseline is None:
-            print("error: --write-baseline requires --baseline", file=sys.stderr)
-            return 2
-        assert baseline is not None
-        baseline.save(args.baseline, report.findings + report.grandfathered)
-        total = len(report.findings) + len(report.grandfathered)
-        print(f"baseline written: {total} entr(y/ies) -> {args.baseline}")
-        return 0
+    report = lint_paths(args.paths)
 
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=1, sort_keys=True))
     else:
         print(_render_text(report))
-
-    code = report.exit_code
-    if args.check_baseline and report.stale_baseline:
-        code = 1
-    return code
+    return report.exit_code
 
 
 if __name__ == "__main__":

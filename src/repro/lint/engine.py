@@ -2,9 +2,9 @@
 
 One :func:`lint_paths` call scans files in deterministic (sorted)
 order, runs every registered rule per file, applies inline
-suppressions, fingerprints what is left, and partitions it against the
-committed baseline. The result is a :class:`LintReport` the CLI
-renders as text or as a ``repro.lint.report/v1`` JSON document.
+suppressions and attaches each remaining finding's source line. The
+result is a :class:`LintReport` the CLI renders as text or as a
+``repro.lint.report/v2`` JSON document; any finding fails the run.
 
 Example:
     >>> from repro.lint.engine import lint_source
@@ -26,8 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import schemas
 from repro.lint import rules as _rules  # noqa: F401  (registers the rules)
 from repro.lint import suppress
-from repro.lint.baseline import Baseline
-from repro.lint.findings import Finding, attach_fingerprints
+from repro.lint.findings import Finding, attach_snippets
 from repro.lint.registry import (
     FileContext,
     ModuleResolver,
@@ -90,8 +89,8 @@ def lint_source(
         resolver: shared :class:`ModuleResolver` (one per run).
 
     Returns:
-        Fingerprinted findings, sorted by location, suppressions and
-        meta-diagnostics applied -- but *not* baseline-filtered.
+        Findings sorted by location, with their source lines attached
+        and suppressions and meta-diagnostics applied.
     """
     module, derived_root = split_repro_path(path) if path != "<string>" else (None, None)
     lines = source.splitlines()
@@ -105,7 +104,7 @@ def lint_source(
             code=suppress.PARSE_ERROR,
             message=f"file does not parse: {exc}",
         )
-        return attach_fingerprints([finding], lines)
+        return attach_snippets([finding], lines)
     ctx = FileContext(
         path=module or path,
         module=module,
@@ -121,7 +120,7 @@ def lint_source(
     for lint_rule in all_rules():
         raw.extend(lint_rule.check(ctx))
     kept, _silenced = suppress.apply(ctx.path, raw, suppress.scan(source))
-    return attach_fingerprints(kept, lines)
+    return attach_snippets(kept, lines)
 
 
 @dataclass
@@ -130,57 +129,34 @@ class LintReport:
 
     Attributes:
         files_scanned: number of files visited.
-        findings: new findings (not in the baseline), sorted.
-        grandfathered: findings matched by baseline entries.
-        stale_baseline: baseline fingerprints with no matching finding.
+        findings: every unsuppressed finding, sorted.
     """
 
     files_scanned: int = 0
     findings: List[Finding] = field(default_factory=list)
-    grandfathered: List[Finding] = field(default_factory=list)
-    stale_baseline: List[str] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        """0 when clean (ignoring grandfathered findings), else 1."""
+        """0 when clean, else 1."""
         return 1 if self.findings else 0
 
     def to_dict(self) -> Dict[str, object]:
-        """The ``repro.lint.report/v1`` JSON document."""
+        """The ``repro.lint.report/v2`` JSON document."""
         return {
             "schema": schemas.LINT_REPORT_SCHEMA,
             "files_scanned": self.files_scanned,
             "findings": [f.to_dict() for f in self.findings],
-            "grandfathered": [f.to_dict() for f in self.grandfathered],
-            "stale_baseline": list(self.stale_baseline),
-            "summary": {
-                "new": len(self.findings),
-                "grandfathered": len(self.grandfathered),
-                "stale_baseline": len(self.stale_baseline),
-            },
         }
 
 
-def lint_paths(
-    paths: Sequence[str], baseline: Optional[Baseline] = None
-) -> LintReport:
-    """Lint every Python file under ``paths`` against ``baseline``."""
+def lint_paths(paths: Sequence[str]) -> LintReport:
+    """Lint every Python file under ``paths``."""
     resolver = ModuleResolver()
-    all_findings: List[Finding] = []
+    findings: List[Finding] = []
     files = iter_python_files(paths)
     for file_path in files:
         with open(file_path, "r", encoding="utf-8") as fh:
             source = fh.read()
-        all_findings.extend(
-            lint_source(source, path=file_path, resolver=resolver)
-        )
-    all_findings.sort()
-    if baseline is None:
-        baseline = Baseline()
-    new, grandfathered, stale = baseline.partition(all_findings)
-    return LintReport(
-        files_scanned=len(files),
-        findings=new,
-        grandfathered=grandfathered,
-        stale_baseline=stale,
-    )
+        findings.extend(lint_source(source, path=file_path, resolver=resolver))
+    findings.sort()
+    return LintReport(files_scanned=len(files), findings=findings)

@@ -1,18 +1,14 @@
 """The :class:`Finding` record every lint rule produces.
 
-A finding is plain data -- code, location, message -- plus a
-*fingerprint* that identifies the finding across unrelated edits: the
-hash covers the rule code, the module-relative path, the stripped
-source line, and an occurrence index, but **not** the line number, so
-inserting code above a grandfathered finding does not turn it into a
-"new" one. Fingerprints are what the committed baseline file stores.
+A finding is plain data -- code, location, message -- plus the
+stripped source line it points at (``snippet``), which the engine
+attaches for the text and JSON reports.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -26,10 +22,8 @@ class Finding:
         col: 0-based column of the offending node.
         code: rule code, e.g. ``"RPR103"``.
         message: human-readable description of the violation.
-        snippet: the stripped source line, for fingerprinting and text
-            output; attached by the engine.
-        fingerprint: stable identity used by the baseline; attached by
-            the engine via :func:`attach_fingerprints`.
+        snippet: the stripped source line, for the reports; attached by
+            the engine via :func:`attach_snippets`.
     """
 
     path: str
@@ -38,7 +32,6 @@ class Finding:
     code: str
     message: str
     snippet: str = ""
-    fingerprint: str = ""
 
     def location(self) -> str:
         """``path:line:col`` prefix used by the text formatter."""
@@ -53,44 +46,22 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint,
         }
 
 
-def _fingerprint(code: str, path: str, snippet: str, occurrence: int) -> str:
-    blob = "\x00".join((code, path, snippet, str(occurrence)))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
-
-
-def attach_fingerprints(
+def attach_snippets(
     findings: Sequence[Finding], lines: Sequence[str]
 ) -> List[Finding]:
-    """Fill ``snippet`` and ``fingerprint`` on raw rule output.
-
-    Occurrence indices disambiguate identical snippets tripping the
-    same rule twice in one file (each occurrence gets its own baseline
-    entry instead of one entry silently covering all of them).
+    """Sort raw rule output and fill each finding's ``snippet``.
 
     Args:
         findings: raw findings for one file, any order.
         lines: that file's source lines (1-based ``finding.line``).
     """
-    seen: Dict[Tuple[str, str, str], int] = {}
     out = []
     for finding in sorted(findings):
         snippet = ""
         if 1 <= finding.line <= len(lines):
             snippet = lines[finding.line - 1].strip()
-        key = (finding.code, finding.path, snippet)
-        occurrence = seen.get(key, 0)
-        seen[key] = occurrence + 1
-        out.append(
-            replace(
-                finding,
-                snippet=snippet,
-                fingerprint=_fingerprint(
-                    finding.code, finding.path, snippet, occurrence
-                ),
-            )
-        )
+        out.append(replace(finding, snippet=snippet))
     return out

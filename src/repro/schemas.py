@@ -162,7 +162,6 @@ MISSION_JOB_VERSION = register("repro.sim.mission-job", 3)
 EXPERIMENT_JOB_VERSION = register("repro.experiments.jobs", 4)
 
 #: ``python -m repro.lint --format json`` report documents.
-LINT_REPORT_SCHEMA = register("repro.lint.report", 1)
-
-#: Committed lint baseline files (grandfathered findings).
-LINT_BASELINE_SCHEMA = register("repro.lint.baseline", 1)
+#: History: v2 dropped the baseline keys (``grandfathered``,
+#: ``stale_baseline``, ``summary`` and each finding's ``fingerprint``).
+LINT_REPORT_SCHEMA = register("repro.lint.report", 2)

@@ -150,23 +150,6 @@ class TestOrphans:
             fh.write(b"trace-store temp")
         assert cache.stats().orphans == 0
 
-    def test_sweep_respects_min_age(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put(sum_job(), 4.0)
-        shard = os.path.dirname(entry_path_of(cache, sum_job()))
-        young = os.path.join(shard, ".tmp-young")
-        old = os.path.join(shard, ".tmp-old")
-        for path in (young, old):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("x" * 10)
-        os.utime(old, (1_000.0, 1_000.0))
-        os.utime(young, (2_000.0, 2_000.0))
-        removed, freed = cache.sweep_orphans(min_age_s=600.0, now=2_100.0)
-        assert removed == 1 and freed == 10
-        assert os.path.exists(young) and not os.path.exists(old)
-        removed, _ = cache.sweep_orphans(min_age_s=0.0, now=2_100.0)
-        assert removed == 1 and not os.path.exists(young)
-
 
 class TestEviction:
     def _sized_cache(self, tmp_path):

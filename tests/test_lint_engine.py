@@ -1,7 +1,7 @@
-"""Engine semantics: suppressions, baseline, JSON report, CLI, meta-test.
+"""Engine semantics: suppressions, JSON report, CLI, meta-test.
 
 The meta-test at the bottom is the linter's own acceptance gate: the
-repo's ``src/`` tree must produce zero new findings. Any determinism
+repo's ``src/`` tree must produce zero findings. Any determinism
 violation introduced anywhere in the codebase fails the tier-1 suite
 here before it ever reaches CI's dedicated lint job.
 """
@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.lint import Baseline, lint_paths, lint_source
+from repro.lint import lint_paths, lint_source
 from repro.lint.__main__ import main as lint_main
 from repro import schemas
 
@@ -70,26 +70,7 @@ def test_parse_error_reported_as_rpr000():
     assert codes("def broken(:\n") == ["RPR000"]
 
 
-# -- fingerprints --------------------------------------------------------
-
-
-def test_fingerprints_stable_across_line_moves():
-    src_a = BAD_SOURCE
-    src_b = "# a new leading comment\n" + BAD_SOURCE
-    [f_a] = lint_source(src_a, path="repro/sim/snippet.py")
-    [f_b] = lint_source(src_b, path="repro/sim/snippet.py")
-    assert f_a.line != f_b.line
-    assert f_a.fingerprint == f_b.fingerprint
-
-
-def test_fingerprints_distinguish_repeated_snippets():
-    src = BAD_SOURCE + "rng2 = np.random.default_rng()\n"
-    findings = lint_source(src, path="repro/sim/snippet.py")
-    assert len(findings) == 2
-    assert len({f.fingerprint for f in findings}) == 2
-
-
-# -- baseline ------------------------------------------------------------
+# -- JSON report ---------------------------------------------------------
 
 
 @pytest.fixture
@@ -101,70 +82,17 @@ def bad_tree(tmp_path):
     return tmp_path
 
 
-def test_baseline_grandfathers_known_findings(bad_tree, tmp_path):
-    baseline_path = str(tmp_path / "baseline.json")
-    report = lint_paths([str(bad_tree)])
-    assert [f.code for f in report.findings] == ["RPR101"]
-    assert report.exit_code == 1
-
-    Baseline().save(baseline_path, report.findings)
-    baseline = Baseline.load(baseline_path)
-    report2 = lint_paths([str(bad_tree)], baseline=baseline)
-    assert report2.findings == []
-    assert [f.code for f in report2.grandfathered] == ["RPR101"]
-    assert report2.stale_baseline == []
-    assert report2.exit_code == 0
-
-
-def test_baseline_detects_stale_entries(bad_tree, tmp_path):
-    baseline_path = str(tmp_path / "baseline.json")
-    report = lint_paths([str(bad_tree)])
-    Baseline().save(baseline_path, report.findings)
-
-    # fix the violation: the baseline entry must be reported stale
-    (bad_tree / "repro" / "mod.py").write_text("x = 1\n")
-    report2 = lint_paths([str(bad_tree)], baseline=Baseline.load(baseline_path))
-    assert report2.findings == []
-    assert report2.grandfathered == []
-    assert len(report2.stale_baseline) == 1
-
-
-def test_baseline_load_missing_file_is_empty(tmp_path):
-    baseline = Baseline.load(str(tmp_path / "nope.json"))
-    assert baseline.entries == {}
-
-
-def test_baseline_rejects_wrong_schema(tmp_path):
-    from repro.lint import LintError
-
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"schema": "wrong/v1", "findings": []}))
-    with pytest.raises(LintError):
-        Baseline.load(str(path))
-
-
-def test_baseline_file_carries_schema_token(bad_tree, tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    report = lint_paths([str(bad_tree)])
-    Baseline().save(str(baseline_path), report.findings)
-    doc = json.loads(baseline_path.read_text())
-    assert doc["schema"] == schemas.LINT_BASELINE_SCHEMA
-    assert [e["code"] for e in doc["findings"]] == ["RPR101"]
-
-
-# -- JSON report ---------------------------------------------------------
-
-
 def test_report_json_document(bad_tree):
     report = lint_paths([str(bad_tree)])
     doc = report.to_dict()
+    assert sorted(doc) == ["files_scanned", "findings", "schema"]
     assert doc["schema"] == schemas.LINT_REPORT_SCHEMA
     assert doc["files_scanned"] == 2
-    assert doc["summary"] == {"new": 1, "grandfathered": 0, "stale_baseline": 0}
     [finding] = doc["findings"]
+    assert sorted(finding) == ["code", "col", "line", "message", "path", "snippet"]
     assert finding["code"] == "RPR101"
     assert finding["path"].endswith("mod.py")
-    assert finding["fingerprint"]
+    assert finding["snippet"] == "rng = np.random.default_rng()"
     # the document is canonical-JSON clean (string keys, plain data)
     assert json.loads(json.dumps(doc, sort_keys=True)) == doc
 
@@ -172,31 +100,36 @@ def test_report_json_document(bad_tree):
 # -- CLI -----------------------------------------------------------------
 
 
-def test_cli_exit_codes_and_baseline_flow(bad_tree, tmp_path, capsys):
-    baseline_path = str(tmp_path / "baseline.json")
+def test_cli_exit_codes(bad_tree, capsys):
     target = str(bad_tree)
 
     assert lint_main([target]) == 1
     out = capsys.readouterr().out
-    assert "RPR101" in out and "1 new finding" in out
+    assert "RPR101" in out and "2 files scanned: 1 finding(s)" in out
 
-    # write the baseline, then the same tree is clean
-    assert lint_main([target, "--baseline", baseline_path, "--write-baseline"]) == 0
-    capsys.readouterr()
-    assert lint_main([target, "--baseline", baseline_path]) == 0
-
-    # --check-baseline turns stale entries into a failure
     (bad_tree / "repro" / "mod.py").write_text("x = 1\n")
-    capsys.readouterr()
-    assert lint_main([target, "--baseline", baseline_path]) == 0
-    assert lint_main([target, "--baseline", baseline_path, "--check-baseline"]) == 1
+    assert lint_main([target]) == 0
+    assert "2 files scanned: 0 finding(s)" in capsys.readouterr().out
+
+
+def test_cli_missing_path_is_usage_error(bad_tree, tmp_path, monkeypatch, capsys):
+    missing = str(tmp_path / "no-such-dir")
+    assert lint_main([str(bad_tree), missing]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: no such file or directory: {missing}" in captured.err
+
+    # the default path is ``src``, relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    assert lint_main([]) == 2
+    assert "error: no such file or directory: src" in capsys.readouterr().err
 
 
 def test_cli_json_format(bad_tree, capsys):
     assert lint_main([str(bad_tree), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["schema"] == schemas.LINT_REPORT_SCHEMA
-    assert doc["summary"]["new"] == 1
+    assert [f["code"] for f in doc["findings"]] == ["RPR101"]
 
 
 def test_cli_list_rules(capsys):
@@ -204,10 +137,6 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for code in ("RPR101", "RPR102", "RPR103", "RPR104", "RPR105", "RPR106"):
         assert code in out
-
-
-def test_cli_write_baseline_requires_baseline_path(bad_tree, capsys):
-    assert lint_main([str(bad_tree), "--write-baseline"]) == 2
 
 
 def test_module_entrypoint_runs():

@@ -16,8 +16,7 @@ FROZEN_TOKENS = {
     "RESULT_SCHEMA": "repro.sim.campaign-result/v2",
     "MISSION_JOB_VERSION": "repro.sim.mission-job/v3",
     "EXPERIMENT_JOB_VERSION": "repro.experiments.jobs/v4",
-    "LINT_REPORT_SCHEMA": "repro.lint.report/v1",
-    "LINT_BASELINE_SCHEMA": "repro.lint.baseline/v1",
+    "LINT_REPORT_SCHEMA": "repro.lint.report/v2",
 }
 
 
