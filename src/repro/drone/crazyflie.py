@@ -12,7 +12,7 @@ like on the real platform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.sensors.camera import HimaxCamera
 from repro.sensors.flowdeck import FlowDeck
 from repro.sensors.imu import Gyro
 from repro.sensors.multiranger import MultiRangerDeck, RangerReading
+from repro.sensors.tape import FLOW, GYRO, TICK_BLOCK, tape
 from repro.seeding import SeedLike, spawn_streams
 from repro.world.room import Room
 
@@ -70,9 +71,11 @@ class Crazyflie:
             gyro, ranger dropout, ranger gaussian noise -- so each
             sensor owns an independent stream whose position depends
             only on the tick / refresh count. That independence is what
-            lets the fleet stepper (:mod:`repro.sim.fleet`) pre-draw
-            every mission's noise as one block per sensor and still
-            reproduce a serial mission bit-for-bit.
+            lets a serial flight read each stream from a
+            :func:`~repro.sensors.tape.tape` drawn in blocks, and the
+            fleet stepper (:mod:`repro.sim.fleet`) pre-draw every
+            mission's noise as one block per sensor, both reproducing
+            per-tick draws bit-for-bit.
     """
 
     def __init__(
@@ -89,10 +92,10 @@ class Crazyflie:
             flow_stream, gyro_stream, drop_stream, noise_stream = spawn_streams(
                 seed, 4
             )
-            self._flow_rng: Optional[np.random.Generator] = np.random.default_rng(
+            flow_rng: Optional[np.random.Generator] = np.random.default_rng(
                 flow_stream
             )
-            self._gyro_rng: Optional[np.random.Generator] = np.random.default_rng(
+            gyro_rng: Optional[np.random.Generator] = np.random.default_rng(
                 gyro_stream
             )
             ranger_rng: Optional[np.random.Generator] = np.random.default_rng(
@@ -102,8 +105,8 @@ class Crazyflie:
                 noise_stream
             )
         else:
-            self._flow_rng = None
-            self._gyro_rng = None
+            flow_rng = None
+            gyro_rng = None
             ranger_rng = None
             ranger_noise_rng = None
         if start is None:
@@ -125,9 +128,16 @@ class Crazyflie:
             noise_rng=ranger_noise_rng,
         )
         self.flowdeck = FlowDeck(
-            velocity_noise_std=self.config.odometry_noise_std, rng=self._flow_rng
+            velocity_noise_std=self.config.odometry_noise_std, rng=flow_rng
         )
-        self.gyro = Gyro(noise_std=self.config.gyro_noise_std, rng=self._gyro_rng)
+        self.gyro = Gyro(noise_std=self.config.gyro_noise_std, rng=gyro_rng)
+        # After the decks' calibration draws (flow scale, gyro bias) each
+        # tape is its generator's only consumer.
+        self._flow_tape: Optional[Iterator[List[float]]] = None
+        self._gyro_tape: Optional[Iterator[List[float]]] = None
+        if flow_rng is not None and gyro_rng is not None:
+            self._flow_tape = tape(flow_rng, FLOW, TICK_BLOCK)
+            self._gyro_tape = tape(gyro_rng, GYRO, TICK_BLOCK)
         self.camera = HimaxCamera()
         self._dt = 1.0 / self.config.control_rate_hz
         self._tof_period = 1.0 / self.multiranger.rate_hz
@@ -176,18 +186,18 @@ class Crazyflie:
         """Run one 50 Hz control tick under the given set-point."""
         clamped = self.controller.clamp(setpoint)
         state = self.dynamics.step(clamped, self._dt)
-        flow_rng = self._flow_rng
-        gyro_rng = self._gyro_rng
-        if flow_rng is not None and gyro_rng is not None:
-            # One pre-drawn block per sensor stream replaces the scalar
-            # generator calls; each stream is consumed in the order
-            # FlowDeck.read and Gyro.read draw (flow vx, vy, height;
-            # then gyro), so the tick is bit-identical to them. The
-            # noise application is inlined (normal(0, s) is
-            # s * standard_normal() internally) and the height term is
-            # never consumed by the estimator, so only its draw matters.
-            zf = flow_rng.standard_normal(3).tolist()
-            zg = float(gyro_rng.standard_normal())
+        flow_tape = self._flow_tape
+        gyro_tape = self._gyro_tape
+        if flow_tape is not None and gyro_tape is not None:
+            # One tape row per sensor replaces the scalar generator
+            # calls; each stream is read in the order FlowDeck.read and
+            # Gyro.read draw (flow vx, vy, height; then gyro), so the
+            # tick is bit-identical to them. The noise application is
+            # inlined (normal(0, s) is s * standard_normal() internally)
+            # and the height term is never consumed by the estimator, so
+            # only its draw matters.
+            zf = next(flow_tape)
+            zg = next(gyro_tape)[0]
             flow = self.flowdeck
             gyro = self.gyro
             self.estimator.update_raw(

@@ -1,7 +1,7 @@
 """CLI entry point: ``python -m repro.lint [paths] [options]``.
 
 Exit codes: ``0`` clean, ``1`` findings, ``2`` usage errors (including
-a path that does not exist).
+a path that does not exist, or a named file that is not a ``.py`` file).
 """
 
 from __future__ import annotations
@@ -64,10 +64,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{meta.code} {meta.name}: {meta.summary}")
         return 0
 
-    missing = [path for path in args.paths if not os.path.exists(path)]
-    for path in missing:
-        print(f"error: no such file or directory: {path}", file=sys.stderr)
-    if missing:
+    errors = []
+    for path in args.paths:
+        if not os.path.exists(path):
+            errors.append(f"no such file or directory: {path}")
+        elif os.path.isfile(path) and not path.endswith(".py"):
+            errors.append(f"not a Python file: {path}")
+    for error in errors:
+        print(f"error: {error}", file=sys.stderr)
+    if errors:
         return 2
 
     report = lint_paths(args.paths)

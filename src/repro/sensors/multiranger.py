@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
+from repro.errors import SensorError
 from repro.geometry.raycast import RayCaster
 from repro.geometry.vec import Vec2, normalize_angle
+from repro.sensors.tape import DROPOUT, RANGE, REFRESH_BLOCK, tape
 from repro.sensors.tof import ToFSensor, VL53L1X_MAX_RANGE_M, VL53L1X_RATE_HZ
 
 
@@ -60,22 +62,27 @@ class MultiRangerDeck:
         noise_std: per-beam gaussian range noise (metres).
         dropout_prob: per-beam dropout probability.
         rng: dropout-draw RNG; ``None`` gives noise-free beams.
-        noise_rng: gaussian range-noise RNG; defaults to ``rng``. The
+        noise_rng: gaussian range-noise RNG, required with ``rng``. The
             drone assembly passes two independently spawned streams so a
             fleet stepper can pre-draw a whole mission's dropout block
-            (``random((refreshes, 4))``) and noise block
-            (``standard_normal((refreshes, 4))``) up front and still
-            match the serial deck bit-for-bit.
+            and noise block (:func:`~repro.sensors.tape.draw_rows`) up
+            front and still match the serial deck bit-for-bit.
         max_range: beam saturation distance.
 
     Noise discipline (part of the fleet bit-identity contract): every
-    refresh consumes one ``random(4)`` block from ``rng`` and one
-    ``standard_normal(4)`` block from ``noise_rng`` -- always both,
-    always whole blocks -- then applies them per beam in mount order
-    (front, left, back, right). Drawing unconditionally keeps each
-    stream's position a pure function of the refresh count, never of
-    what the beams saw, which is what lets pre-generated blocks line up
-    for any trajectory.
+    refresh consumes one :data:`~repro.sensors.tape.DROPOUT` row
+    (``random(4)``) from ``rng`` and one
+    :data:`~repro.sensors.tape.RANGE` row (``standard_normal(4)``) from
+    ``noise_rng`` -- always both, always whole rows -- then applies them
+    per beam in mount order (front, left, back, right). Drawing
+    unconditionally keeps each stream's position a pure function of the
+    refresh count, never of what the beams saw, which is what lets
+    pre-generated blocks line up for any trajectory; the deck itself
+    reads both streams from tapes drawn
+    :data:`~repro.sensors.tape.REFRESH_BLOCK` rows at a time.
+
+    Raises:
+        SensorError: when ``rng`` comes without its own ``noise_rng``.
     """
 
     def __init__(
@@ -90,8 +97,13 @@ class MultiRangerDeck:
         self.max_range = max_range
         self.noise_std = noise_std
         self.dropout_prob = dropout_prob
-        self._rng = rng
-        self._noise_rng = noise_rng if noise_rng is not None else rng
+        self._dropout: Optional[Iterator[List[float]]] = None
+        self._noise: Optional[Iterator[List[float]]] = None
+        if rng is not None:
+            if noise_rng is None or noise_rng is rng:
+                raise SensorError("a noisy Multi-ranger deck needs its own noise_rng")
+            self._dropout = tape(rng, DROPOUT, REFRESH_BLOCK)
+            self._noise = tape(noise_rng, RANGE, REFRESH_BLOCK)
         # The deck applies noise itself (see the class docstring), so the
         # per-beam sensors are noise-free geometry probes.
         self._sensors = {
@@ -111,11 +123,12 @@ class MultiRangerDeck:
     def _apply_noise(self, hits: "list[float]") -> "list[float]":
         """Dropout + gaussian noise over one refresh, in mount order."""
         max_range = self.max_range
-        rng = self._rng
-        if rng is None:
+        dropout_tape = self._dropout
+        noise_tape = self._noise
+        if dropout_tape is None or noise_tape is None:
             return [d if d < max_range else max_range for d in hits]
-        u = rng.random(4)
-        z = self._noise_rng.standard_normal(4)
+        u = next(dropout_tape)
+        z = next(noise_tape)
         noise_std = self.noise_std
         dropout = self.dropout_prob
         out = []
@@ -125,7 +138,7 @@ class MultiRangerDeck:
             if u[k] < dropout:
                 out.append(max_range)
                 continue
-            noisy = true_dist + noise_std * float(z[k])
+            noisy = true_dist + noise_std * z[k]
             if noisy < 0.0:
                 noisy = 0.0
             elif noisy > max_range:

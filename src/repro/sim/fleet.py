@@ -66,6 +66,7 @@ from repro.sensors.camera import HimaxCamera
 from repro.sensors.flowdeck import FlowDeck
 from repro.sensors.imu import Gyro
 from repro.sensors.multiranger import BEAM_ANGLES, RangerReading
+from repro.sensors.tape import DROPOUT, FLOW, GYRO, RANGE, draw_rows
 from repro.sensors.tof import VL53L1X_MAX_RANGE_M, VL53L1X_RATE_HZ
 from repro.sim.campaign import MissionSpec
 from repro.sim.results import MissionRecord
@@ -207,8 +208,9 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             # Same spawn order as Crazyflie.__init__, and the same init
             # draws: constructing the deck objects on the live generator
             # consumes the calibration draws (flow scale, gyro bias)
-            # exactly as the serial drone does, then the remaining tape
-            # is pulled as one block per stream.
+            # exactly as the serial drone does, then the rest of each
+            # stream is pulled as one block of the rows its serial tape
+            # reads (repro.sensors.tape).
             flow_stream, gyro_stream, drop_stream, noise_stream = spawn_streams(
                 drone_stream, 4
             )
@@ -216,14 +218,12 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             scale[j] = FlowDeck(
                 velocity_noise_std=config.odometry_noise_std, rng=flow_gen
             ).scale
-            flow_z[j] = flow_gen.standard_normal(3 * n_max).reshape(n_max, 3)
+            flow_z[j] = draw_rows(flow_gen, FLOW, n_max)
             gyro_gen = np.random.default_rng(gyro_stream)
             bias[j] = Gyro(noise_std=config.gyro_noise_std, rng=gyro_gen).bias
-            gyro_z[j] = gyro_gen.standard_normal(n_max)
-            drop_u[j] = np.random.default_rng(drop_stream).random((r_total, 4))
-            tof_z[j] = np.random.default_rng(noise_stream).standard_normal(
-                (r_total, 4)
-            )
+            gyro_z[j] = draw_rows(gyro_gen, GYRO, n_max)[:, 0]
+            drop_u[j] = draw_rows(np.random.default_rng(drop_stream), DROPOUT, r_total)
+            tof_z[j] = draw_rows(np.random.default_rng(noise_stream), RANGE, r_total)
 
     # -- shared world / occupancy setup ------------------------------------
     grid0 = OccupancyGrid(room, start=start)

@@ -17,6 +17,7 @@ paths indistinguishable downstream.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +44,8 @@ from repro.policies import PolicyConfig, make_policy
 from repro.seeding import seed_provenance
 from repro.sim.campaign import Campaign, MissionSpec
 from repro.sim.results import CampaignResult, MissionRecord
+from repro.sim.scenario import Scenario
+from repro.world.room import Room
 
 #: Code-version token of the mission job, now its own schema family
 #: (``repro.sim.mission-job``): cache validity tracks mission
@@ -51,6 +54,29 @@ from repro.sim.results import CampaignResult, MissionRecord
 #: per-sensor seed-stream refactor did (v3). Result files still carry
 #: :data:`~repro.sim.results.RESULT_SCHEMA`.
 MISSION_JOB_VERSION = schemas.MISSION_JOB_VERSION
+
+#: The world the latest mission of this thread flew in, as ``world``:
+#: ``(RoomSpec, Room)``.
+_latest = threading.local()
+
+
+def _mission_room(scenario: Scenario) -> Room:
+    """The room of ``scenario``: the latest mission's when it flew an
+    equal :class:`~repro.sim.scenario.RoomSpec`, else a new one.
+
+    A room never changes once built, and everything it builds on first
+    use (clear-cell rasters and their cell candidates, the reachable-cell
+    masks of :func:`~repro.world.freespace.reachable_cell_mask`) depends
+    on its geometry alone, so reusing it leaves every flight as it was.
+    Only the latest world is kept, one per thread: memory does not grow
+    over a campaign, and no two threads share a room.
+    """
+    latest = getattr(_latest, "world", None)
+    if latest is not None and latest[0] == scenario.room:
+        return latest[1]
+    room = scenario.build_room()
+    _latest.world = (scenario.room, room)
+    return room
 
 
 def fly_mission(
@@ -69,7 +95,7 @@ def fly_mission(
         ``(record, trace)``; the trace is ``None`` unless ``record``.
     """
     scenario = spec.scenario
-    room = scenario.build_room()
+    room = _mission_room(scenario)
     policy = make_policy(spec.policy, PolicyConfig(cruise_speed=spec.speed))
     seed = spec.seed_sequence()
     if spec.kind == "explore":

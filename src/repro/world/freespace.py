@@ -26,7 +26,8 @@ bit-identical to the pre-extraction ones.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+import weakref
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +45,12 @@ VALIDATION_MARGIN_M = 0.1
 #: grid; at or below the generators' wall thickness (0.1 m) so thin
 #: partition walls always block at least one raster row/column.
 FINE_RESOLUTION_M = 0.1
+
+#: :func:`reachable_cell_mask` results by room, then by the rest of the
+#: arguments; an entry lives as long as its room.
+_cell_masks: "weakref.WeakKeyDictionary[Room, Dict[tuple, np.ndarray]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def free_space_mask(
@@ -213,8 +220,28 @@ def reachable_cell_mask(
         room rasterizes to no free space at all (degenerate worlds),
         every cell is reported reachable so a downstream
         ``visited / reachable`` metric degrades to the raw fraction
-        instead of dividing by zero.
+        instead of dividing by zero. A room computes each mask once and
+        hands out copies (a room reused across missions floods once).
     """
+    key = (start.x, start.y, cell_size, tuple(shape), margin, resolution)
+    masks = _cell_masks.setdefault(room, {})
+    mask = masks.get(key)
+    if mask is None:
+        mask = masks[key] = _reachable_cell_mask(
+            room, start, cell_size, shape, margin, resolution
+        )
+    return mask.copy()
+
+
+def _reachable_cell_mask(
+    room: Room,
+    start: Vec2,
+    cell_size: float,
+    shape: Tuple[int, int],
+    margin: float,
+    resolution: Optional[float],
+) -> np.ndarray:
+    """:func:`reachable_cell_mask`, computed."""
     ny, nx = shape
     if resolution is None:
         resolution = min(FINE_RESOLUTION_M, cell_size / 2.0)

@@ -11,24 +11,22 @@ collision checker calls ``is_free`` up to three times per control tick,
 and rebuilding obstacle boundary segments per call used to dominate dense
 scenarios.
 
-On top of the flattened arrays, rooms with many segments bucket their
-geometry into the same kind of uniform grid the
-:class:`~repro.geometry.raycast.RayCaster` walks: a point query then
-gathers only the segments/obstacles whose bounding boxes can possibly
-matter (the cells covered by the query disk, or expanding cell rings for
-the nearest-distance search) instead of scanning every segment. The
-gathered subset provably contains every segment that can influence the
-answer, and the per-segment arithmetic is the identical elementwise
-numpy expression, so grid and brute-force answers are bit-identical --
-``accel="none"`` keeps the full-array reference path that the
-equivalence tests pin against. This is what keeps ``is_free`` /
-``clearance`` O(cell) on generated 1000+-segment worlds
-(:mod:`repro.sim.generators`).
-
-Most collision checks find a drone in open floor, though: in a room with
-obstacles, ``is_free`` answers ``True`` at once for a point in a cell of
-the margin's clear-cell raster (:class:`_ClearCells`), where the exact
-test above would answer ``True`` too, and runs that test elsewhere.
+In a room with obstacles, ``is_free`` looks the point up in the
+margin's clear-cell raster (:class:`_ClearCells`). A point in a clear
+cell is free at once; anywhere else the raster hands over the few
+obstacles and obstacle segments that can matter in that cell, stored
+as Python floats on the cell's first query, and the exact test runs on
+them alone with the reference arithmetic term for term, so no numpy
+call is made on the way (docs/determinism.md has the argument).
+``clearance`` buckets the room's segments into the same kind of
+uniform grid the :class:`~repro.geometry.raycast.RayCaster` walks and
+searches expanding cell rings around the point; the gathered subset
+provably contains the nearest segment and the per-segment arithmetic is
+the identical elementwise numpy expression, which keeps it O(cell) on
+generated 1000+-segment worlds (:mod:`repro.sim.generators`).
+``accel="none"`` keeps the full-array reference path of both queries
+that the equivalence tests pin against; every mode answers bit for bit
+alike.
 """
 
 from __future__ import annotations
@@ -47,14 +45,10 @@ from repro.geometry.vec import Vec2
 
 ObstacleShape = Union[AABB, Circle]
 
-#: Segment count at which ``accel="auto"`` buckets point queries into the
-#: uniform grid. Below it the single full-array numpy pass is cheaper
-#: than gathering candidate indices.
+#: Segment count at which ``accel="auto"`` buckets ``clearance`` queries
+#: into the uniform grid. Below it the single full-array numpy pass is
+#: cheaper than gathering candidate indices.
 POINT_GRID_THRESHOLD = 64
-
-#: Obstacle count at which ``accel="auto"`` buckets the per-obstacle
-#: ``contains`` scan of :meth:`Room.is_free`.
-OBSTACLE_GRID_THRESHOLD = 16
 
 #: Cells of a :class:`_ClearCells` raster along the room's longer wall.
 CLEAR_CELLS = 256
@@ -62,6 +56,13 @@ CLEAR_CELLS = 256
 #: Growth, in metres, added to the margin around every box a clear cell
 #: must avoid: it absorbs the rounding of the exact test's distances.
 CLEAR_SLACK_M = 1e-9
+
+#: Relative half-width of the band around ``margin**2`` in which the
+#: scalar segment test of :meth:`Room.is_free` cannot tell ``u*u + v*v``
+#: from the reference's ``np.hypot(u, v) < margin`` and asks the numpy
+#: lane instead. The float sum and ``np.hypot`` each err by well under
+#: ``1e-15`` relative.
+EXACT_BAND = 1e-12
 
 
 def _shape_bbox(shape: ObstacleShape) -> Tuple[float, float, float, float]:
@@ -79,12 +80,12 @@ def _shape_bbox(shape: ObstacleShape) -> Tuple[float, float, float, float]:
 class _BBoxBuckets:
     """Items bucketed by bounding box into a uniform cell grid.
 
-    Supports the two point-query shapes the room needs: gathering every
-    item whose bbox can intersect an axis-aligned query box, and walking
-    expanding cell rings around a point for nearest-distance searches.
-    Candidate sets are conservative supersets (duplicates possible when
-    a bbox spans several cells), which is harmless for the ``any``/
-    ``min`` reductions they feed.
+    Serves the nearest-distance search of :meth:`Room.clearance`:
+    gathering every item whose bbox can intersect an axis-aligned query
+    box, for boxes growing around a point. Candidate sets are
+    conservative supersets (duplicates possible when a bbox spans
+    several cells), which is harmless for the ``min`` reduction they
+    feed.
     """
 
     __slots__ = ("x0", "y0", "cw", "ch", "ncx", "ncy", "cells", "cell_min")
@@ -187,13 +188,12 @@ class _SegmentDistanceField:
 
     With a grid (``grid=True`` and enough segments) the field buckets
     segment bounding boxes into a :class:`_BBoxBuckets` grid and answers
-    queries from conservative candidate subsets. The subset arithmetic
-    is the same elementwise expression evaluated on gathered arrays --
-    numpy elementwise ops are deterministic per lane, so every gathered
-    distance equals the corresponding full-array lane exactly, and
-    segments the gather skips provably cannot change an ``any(d < r)``
-    or ``min(d)`` reduction. Answers are therefore bit-identical to the
-    brute path.
+    :meth:`min_distance` from conservative candidate subsets. The subset
+    arithmetic is the same elementwise expression evaluated on gathered
+    arrays -- numpy elementwise ops are deterministic per lane, so every
+    gathered distance equals the corresponding full-array lane exactly,
+    and segments the gather skips provably cannot change the ``min(d)``
+    reduction. Answers are therefore bit-identical to the brute path.
     """
 
     def __init__(
@@ -226,6 +226,23 @@ class _SegmentDistanceField:
             np.maximum(self._ay, by),
         )
 
+    def terms(self, idx: np.ndarray) -> List[Tuple[float, ...]]:
+        """``(ax, ay, dx, dy, len_sq, i)`` of the segments in ``idx`` whose
+        ``len_sq`` is not zero, as Python floats: the operands of
+        :meth:`_distances` for lane ``i``. A zero-length segment's lane is
+        NaN and never passes within a radius, so it is left out."""
+        idx = idx[self._len_sq[idx] != 0.0]
+        return list(
+            zip(
+                self._ax[idx].tolist(),
+                self._ay[idx].tolist(),
+                self._dx[idx].tolist(),
+                self._dy[idx].tolist(),
+                self._len_sq[idx].tolist(),
+                idx.tolist(),
+            )
+        )
+
     def min_distance(self, p: Vec2) -> float:
         """Distance from ``p`` to the closest segment of the set."""
         if self._n == 0:
@@ -238,17 +255,6 @@ class _SegmentDistanceField:
         """True if any segment passes within ``radius`` of ``p``."""
         if self._n == 0:
             return False
-        grid = self._grid
-        if grid is not None:
-            # Any segment with dist(p, s) < radius has its closest point
-            # inside the query disk, hence its bbox overlaps the disk's
-            # bbox, hence it is bucketed in one of these cells.
-            idx = grid.box_candidates(
-                p.x - radius, p.y - radius, p.x + radius, p.y + radius
-            )
-            if idx is None:
-                return False
-            return bool(np.any(self._distances_at(p, idx) < radius))
         return bool(np.any(self._distances(p) < radius))
 
     def _min_distance_grid(self, p: Vec2) -> float:
@@ -324,7 +330,7 @@ class _SegmentDistanceField:
 
 
 class _ClearCells:
-    """The cells of a room where :meth:`Room.is_free` holds, at one margin.
+    """Where :meth:`Room.is_free` holds at one margin, and what to test elsewhere.
 
     Square cells, :data:`CLEAR_CELLS` along the longer wall, cover the
     room; ``(x, y)`` falls in cell ``(floor(y * inv), floor(x * inv))``.
@@ -335,11 +341,27 @@ class _ClearCells:
     expression, which is monotone, so a point in a clear cell passes the
     walls' test and lies farther than ``margin`` from every obstacle
     boundary (docs/determinism.md has the argument).
+
+    Every other cell gets its exact test's candidates on its first
+    query (:meth:`candidates`): the obstacles whose bounding box, grown
+    by ``CLEAR_SLACK_M``, touches the cell, and (for a positive margin)
+    the obstacle segments whose box grown by ``margin + CLEAR_SLACK_M``
+    touches it. By the same argument no other obstacle contains a point
+    of the cell and no other segment passes within ``margin`` of one.
     """
 
-    __slots__ = ("inv", "nx", "ny", "flat", "bits")
+    __slots__ = (
+        "inv", "nx", "ny", "flat", "bits", "walls", "lo", "hi",
+        "_shapes", "_field", "_obstacle_cells", "_segment_cells", "_found",
+    )
 
-    def __init__(self, bounds: AABB, boxes: Sequence[np.ndarray], margin: float):
+    def __init__(
+        self,
+        bounds: AABB,
+        shapes: Sequence[ObstacleShape],
+        field: _SegmentDistanceField,
+        margin: float,
+    ):
         inv = CLEAR_CELLS / max(bounds.xmax, bounds.ymax)
         nx = int(bounds.xmax * inv) + 1
         ny = int(bounds.ymax * inv) + 1
@@ -347,18 +369,30 @@ class _ClearCells:
         def index(v: np.ndarray, n: int) -> np.ndarray:
             return np.clip(np.floor(v * inv), 0, n - 1).astype(np.intp)
 
+        def cell_ranges(boxes: Sequence[np.ndarray], grow: float) -> Tuple[np.ndarray, ...]:
+            """Column and row range ``(x0, x1, y0, y1)`` each grown box covers."""
+            xmin, ymin, xmax, ymax = boxes
+            return (
+                index(xmin - grow, nx), index(xmax + grow, nx),
+                index(ymin - grow, ny), index(ymax + grow, ny),
+            )
+
         # One 2-D difference array, +1/-1 at the corners of every grown
         # box's cell range (clipping only ever covers more cells); two
         # running sums count the boxes touching each cell. Each row of
         # the array sums to zero, so the running sum of the flat array
         # is the running sum along every row.
         grow = margin + CLEAR_SLACK_M
-        xmin, ymin, xmax, ymax = boxes
+        shape_boxes = np.array([_shape_bbox(shape) for shape in shapes]).T
+        segment_ranges = cell_ranges(field.bboxes(), grow)
+        x0, x1, y0, y1 = (
+            np.concatenate(pair)
+            for pair in zip(cell_ranges(shape_boxes, grow), segment_ranges)
+        )
         w = nx + 1
-        x0 = index(xmin - grow, nx)
-        x1 = index(xmax + grow, nx) + 1
-        y0 = index(ymin - grow, ny) * w
-        y1 = (index(ymax + grow, ny) + 1) * w
+        x1 = x1 + 1
+        y0 = y0 * w
+        y1 = (y1 + 1) * w
         corners = np.concatenate((y0 + x0, y0 + x1, y1 + x0, y1 + x1))
         signs = np.repeat((1.0, -1.0, -1.0, 1.0), x0.size)
         count = np.bincount(corners, signs, (ny + 1) * w).astype(np.int32)
@@ -370,25 +404,78 @@ class _ClearCells:
             cells = np.arange(n)
             return (cells > np.floor(lo * inv)) & (cells < np.floor(hi * inv))
 
-        inside_x = inside(nx, bounds.xmin + margin, bounds.xmax - margin)
-        inside_y = inside(ny, bounds.ymin + margin, bounds.ymax - margin)
+        walls = (
+            bounds.xmin + margin, bounds.xmax - margin,
+            bounds.ymin + margin, bounds.ymax - margin,
+        )
+        inside_x = inside(nx, walls[0], walls[1])
+        inside_y = inside(ny, walls[2], walls[3])
         self.flat = (~touched & inside_y[:, None] & inside_x).ravel()
         self.bits = self.flat.tobytes()
         self.inv, self.nx, self.ny = inv, nx, ny
+        #: The walls' test thresholds, as ``AABB.contains`` sums them.
+        self.walls = walls
+        # Outside [lo, hi] the sum u*u + v*v decides ``hypot(u, v) <
+        # margin``; a margin whose square leaves the normal range puts
+        # every sum in the band (docs/determinism.md).
+        m2 = margin * margin
+        if 1e-100 <= margin <= 1e100:
+            self.lo, self.hi = m2 * (1.0 - EXACT_BAND), m2 * (1.0 + EXACT_BAND)
+        else:
+            self.lo, self.hi = -1.0, math.inf
+        self._shapes = shapes
+        self._field = field
+        self._obstacle_cells = cell_ranges(shape_boxes, CLEAR_SLACK_M)
+        self._segment_cells = segment_ranges if margin > 0.0 else None
+        self._found: Dict[int, tuple] = {}
 
-    def hit(self, x: float, y: float) -> bool:
-        """True if ``(x, y)`` falls in a clear cell."""
+    def cell(self, x: float, y: float) -> int:
+        """Flat index of the cell ``(x, y)`` falls in; -1 off the raster.
+
+        A point that passes the walls' test at a margin ``>= 0`` lies in
+        ``[0, xmax] x [0, ymax]``, hence on the raster.
+        """
         fx, fy, nx = x * self.inv, y * self.inv, self.nx
-        inside = 0.0 <= fx < nx and 0.0 <= fy < self.ny
-        return inside and self.bits[int(fy) * nx + int(fx)] == 1
+        if 0.0 <= fx < nx and 0.0 <= fy < self.ny:
+            return int(fy) * nx + int(fx)
+        return -1
 
     def hits(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """:meth:`hit` of every point, as a bool array."""
+        """Whether each point falls in a clear cell, as a bool array."""
         fx, fy = xs * self.inv, ys * self.inv
         out: np.ndarray = (fx >= 0.0) & (fx < self.nx) & (fy >= 0.0) & (fy < self.ny)
         idx = np.flatnonzero(out)
         out[idx] = self.flat[fy[idx].astype(np.intp) * self.nx + fx[idx].astype(np.intp)]
         return out
+
+    def candidates(self, cell: int) -> tuple:
+        """``(boxes, circles, segments)`` to test in a cell that is not clear.
+
+        ``boxes`` holds ``(xmin, ymin, xmax, ymax)`` of each candidate
+        box obstacle, ``circles`` ``(cx, cy, r)`` of each circular one,
+        and ``segments`` the :meth:`_SegmentDistanceField.terms` of each
+        candidate obstacle segment; built on the cell's first query.
+        """
+        found = self._found.get(cell)
+        if found is None:
+            row, col = divmod(cell, self.nx)
+
+            def touching(ranges: Tuple[np.ndarray, ...]) -> np.ndarray:
+                x0, x1, y0, y1 = ranges
+                return np.flatnonzero((x0 <= col) & (col <= x1) & (y0 <= row) & (row <= y1))
+
+            boxes, circles = [], []
+            for i in touching(self._obstacle_cells).tolist():
+                shape = self._shapes[i]
+                if isinstance(shape, AABB):
+                    boxes.append((shape.xmin, shape.ymin, shape.xmax, shape.ymax))
+                else:
+                    circles.append((shape.center.x, shape.center.y, shape.radius))
+            segments = []
+            if self._segment_cells is not None:
+                segments = self._field.terms(touching(self._segment_cells))
+            found = self._found[cell] = (tuple(boxes), tuple(circles), tuple(segments))
+        return found
 
 
 class Room:
@@ -409,11 +496,12 @@ class Room:
             obstacles: interior obstacles; must lie fully inside the walls.
             accel: acceleration mode (``"auto"``, ``"grid"`` or
                 ``"none"``), forwarded to :class:`RayCaster` and applied
-                to the point-query fields: ``"auto"`` buckets free-space
-                queries above :data:`POINT_GRID_THRESHOLD` segments /
-                :data:`OBSTACLE_GRID_THRESHOLD` obstacles, ``"none"``
-                keeps the full-array reference path (and no clear-cell
-                raster). Every mode gives bit-identical answers.
+                to the point queries: ``"auto"`` buckets ``clearance``
+                queries above :data:`POINT_GRID_THRESHOLD` segments
+                (``"grid"`` always) and, in a room with obstacles,
+                answers ``is_free`` from the clear-cell rasters;
+                ``"none"`` keeps the full-array reference path of both.
+                Every mode gives bit-identical answers.
         """
         if width <= 0.0 or length <= 0.0:
             raise WorldError(f"non-positive room dimensions {width} x {length}")
@@ -430,34 +518,15 @@ class Room:
 
     def _build_query_arrays(self, accel: str) -> None:
         """Flatten obstacle geometry for the vectorized free-space tests."""
-        point_grid = accel != "none"
-        force = accel == "grid"
         obstacle_segments: List[Segment] = []
         for obs in self._obstacles:
             obstacle_segments.extend(obs.segments())
-        self._obstacle_field = _SegmentDistanceField(
-            obstacle_segments, grid=point_grid, force_grid=force
-        )
+        self._obstacle_field = _SegmentDistanceField(obstacle_segments)
         self._all_field = _SegmentDistanceField(
             self._bounds.boundary_segments() + obstacle_segments,
-            grid=point_grid,
-            force_grid=force,
+            grid=accel != "none",
+            force_grid=accel == "grid",
         )
-        # Bucket obstacles by bounding box so the ``contains`` scan of
-        # ``is_free`` checks O(cell) candidates instead of every
-        # obstacle. Conservative superset + exact per-obstacle test =
-        # the same boolean the full scan produces.
-        self._obstacle_index: Optional[_BBoxBuckets] = None
-        n_obs = len(self._obstacles)
-        if accel == "grid" or (accel == "auto" and n_obs >= OBSTACLE_GRID_THRESHOLD):
-            if n_obs:
-                boxes = [_shape_bbox(o.shape) for o in self._obstacles]
-                self._obstacle_index = _BBoxBuckets(
-                    np.array([b[0] for b in boxes]),
-                    np.array([b[1] for b in boxes]),
-                    np.array([b[2] for b in boxes]),
-                    np.array([b[3] for b in boxes]),
-                )
 
     @property
     def bounds(self) -> AABB:
@@ -501,25 +570,49 @@ class Room:
             margin: clearance required from walls and obstacle boundaries.
         """
         cells = self._raster(margin)
-        if cells is not None and cells.hit(p.x, p.y):
+        if cells is None:
+            return self._is_free_scan(p, margin)
+        x = p.x
+        y = p.y
+        cell = cells.cell(x, y)
+        if cell >= 0 and cells.bits[cell] == 1:
             return True
+        xlo, xhi, ylo, yhi = cells.walls
+        if not (xlo <= x <= xhi and ylo <= y <= yhi):
+            return False
+        boxes, circles, segments = cells.candidates(cell)
+        for xmin, ymin, xmax, ymax in boxes:
+            if xmin <= x <= xmax and ymin <= y <= ymax:
+                return False
+        for cx, cy, r in circles:
+            if math.hypot(cx - x, cy - y) <= r:
+                return False
+        lo, hi = cells.lo, cells.hi
+        for ax, ay, dx, dy, len_sq, i in segments:
+            # _SegmentDistanceField._distances for lane i, term for term.
+            t = ((x - ax) * dx + (y - ay) * dy) / len_sq
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            u = t * dx + ax - x
+            v = t * dy + ay - y
+            d2 = u * u + v * v
+            if d2 > hi:
+                continue
+            if d2 < lo or self._obstacle_field._distances(p)[i] < margin:
+                return False
+        return True
+
+    def _is_free_scan(self, p: Vec2, margin: float) -> bool:
+        """:meth:`is_free` over every obstacle and obstacle segment: the
+        reference, and the test of a room or margin without a raster."""
         if not self._bounds.contains(p, margin=margin):
             return False
-        index = self._obstacle_index
-        if index is None:
-            for obs in self._obstacles:
-                if obs.contains(p):
-                    return False
-        else:
-            candidates = index.box_candidates(p.x, p.y, p.x, p.y)
-            if candidates is not None:
-                obstacles = self._obstacles
-                for i in candidates:
-                    if obstacles[i].contains(p):
-                        return False
-        if margin > 0.0 and self._obstacle_field.any_within(p, margin):
-            return False
-        return True
+        for obs in self._obstacles:
+            if obs.contains(p):
+                return False
+        return not (margin > 0.0 and self._obstacle_field.any_within(p, margin))
 
     def is_free_many(
         self,
@@ -565,12 +658,10 @@ class Room:
             return None
         cells = rasters.get(margin)
         if cells is None:
-            shapes = np.array([_shape_bbox(o.shape) for o in self._obstacles]).T
-            boxes = [
-                np.concatenate(pair)
-                for pair in zip(shapes, self._obstacle_field.bboxes())
-            ]
-            cells = rasters[margin] = _ClearCells(self._bounds, boxes, margin)
+            shapes = [o.shape for o in self._obstacles]
+            cells = rasters[margin] = _ClearCells(
+                self._bounds, shapes, self._obstacle_field, margin
+            )
         return cells
 
     def clearance(self, p: Vec2) -> float:

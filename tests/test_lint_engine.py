@@ -125,6 +125,15 @@ def test_cli_missing_path_is_usage_error(bad_tree, tmp_path, monkeypatch, capsys
     assert "error: no such file or directory: src" in capsys.readouterr().err
 
 
+def test_cli_non_python_file_is_usage_error(bad_tree, capsys):
+    notes = bad_tree / "README.md"
+    notes.write_text("# it's not Python\n")
+    assert lint_main([str(bad_tree / "repro" / "mod.py"), str(notes)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: not a Python file: {notes}" in captured.err
+
+
 def test_cli_json_format(bad_tree, capsys):
     assert lint_main([str(bad_tree), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)

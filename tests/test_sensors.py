@@ -80,6 +80,16 @@ class TestMultiRanger:
         assert set(r.as_dict()) == {"front", "back", "left", "right", "up"}
 
 
+    def test_noisy_deck_needs_its_own_noise_generator(self):
+        # Its two streams are read from tapes drawn ahead in blocks, so
+        # they cannot share one generator.
+        rng = np.random.default_rng(1)
+        with pytest.raises(SensorError):
+            MultiRangerDeck(rng=rng)
+        with pytest.raises(SensorError):
+            MultiRangerDeck(rng=rng, noise_rng=rng)
+
+
 class TestFlowDeck:
     def test_noise_free(self):
         deck = FlowDeck(rng=None)

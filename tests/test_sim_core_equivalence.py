@@ -29,8 +29,12 @@ from repro.mission.detector_model import (
 )
 from repro.policies import PolicyConfig
 from repro.policies.registry import make_policy
+from repro.seeding import spawn_streams
 from repro.sensors.camera import CameraIntrinsics, HimaxCamera
+from repro.sensors.flowdeck import FlowDeck
+from repro.sensors.imu import Gyro
 from repro.sensors.multiranger import MultiRangerDeck
+from repro.sensors.tape import REFRESH_BLOCK, TICK_BLOCK
 from repro.sim import get_scenario
 from repro.world.room import Room
 from repro.geometry.vec import Vec2
@@ -163,6 +167,50 @@ class TestSensorReferences:
             twin.estimator.update(odometry, rate, twin.dt)
             assert drone.state == twin.state
             assert drone.estimated_state == twin.estimated_state
+
+
+    def test_tapes_equal_draws_once_per_tick_or_refresh(self):
+        # Long enough for every tape to refill at least twice: the ToF
+        # deck refreshes every third tick.
+        n_ticks = max(2 * TICK_BLOCK, 3 * 2 * REFRESH_BLOCK) + 60
+        room = get_scenario("dense-depot").build_room()
+        config = CrazyflieConfig(tof_noise_std=0.05, tof_dropout_prob=0.1)
+        seed = np.random.SeedSequence(42)
+        drone = Crazyflie(room, start=Vec2(1.0, 1.0), config=config, seed=seed)
+        twin = Crazyflie(room, start=Vec2(1.0, 1.0), config=config, seed=seed)
+        # Twin generators spawned and calibrated as the drone's, then
+        # drawn one tick or one refresh at a time.
+        flow, gyro, drop, noise = (
+            np.random.default_rng(s) for s in spawn_streams(seed, 4)
+        )
+        FlowDeck(velocity_noise_std=config.odometry_noise_std, rng=flow)
+        Gyro(noise_std=config.gyro_noise_std, rng=gyro)
+        drawn = {"tick": 0, "refresh": 0}
+
+        def rows(draw, unit):
+            while True:
+                drawn[unit] += 1
+                yield draw().tolist()
+
+        twin._flow_tape = rows(lambda: flow.standard_normal(3), "tick")
+        twin._gyro_tape = rows(lambda: gyro.standard_normal(1), "tick")
+        twin.multiranger._dropout = rows(lambda: drop.random(4), "refresh")
+        twin.multiranger._noise = rows(lambda: noise.standard_normal(4), "refresh")
+        rng = np.random.default_rng(0)
+        for _ in range(n_ticks):
+            a, b = drone.read_ranger(), twin.read_ranger()
+            assert [v.hex() for v in a.as_dict().values()] == [
+                v.hex() for v in b.as_dict().values()
+            ]
+            setpoint = SetPoint(
+                forward=rng.uniform(-0.5, 1.0),
+                side=rng.uniform(-0.3, 0.3),
+                yaw_rate=rng.uniform(-2.0, 2.0),
+            )
+            assert drone.step(setpoint) == twin.step(setpoint)
+            assert drone.estimated_state == twin.estimated_state
+        assert drawn["tick"] == 2 * n_ticks
+        assert drawn["refresh"] > 2 * 2 * REFRESH_BLOCK
 
 
 class TestFramePacing:

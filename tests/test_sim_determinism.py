@@ -6,6 +6,9 @@ through the multiprocessing runner; distinct seeds produce different
 trajectories.
 """
 
+import gc
+import weakref
+
 import numpy as np
 
 from repro.mission.closed_loop import ClosedLoopMission
@@ -16,7 +19,9 @@ from repro.mission.detector_model import (
 from repro.mission.explorer import ExplorationMission
 from repro.policies import PolicyConfig, PseudoRandomPolicy
 from repro.sim import Campaign, get_scenario, run_campaign
-from repro.world import paper_object_layout, paper_room
+from repro.sim import runner
+from repro.sim.scenario import Scenario
+from repro.world import freespace, paper_object_layout, paper_room
 
 
 def search_mission(flight_time=20.0):
@@ -121,3 +126,60 @@ class TestCampaignDeterminism:
             progress=lambda done, total, job, payload, cached: seen.append((done, total)),
         )
         assert seen == [(i + 1, len(result)) for i in range(len(result))]
+
+
+class TestWorldReuse:
+    """A mission in the same world as the one before reuses its room."""
+
+    def _count_builds(self, monkeypatch):
+        built = []
+        real = Scenario.build_room
+
+        def build_room(scenario):
+            room = real(scenario)
+            built.append(weakref.ref(room))
+            return room
+
+        monkeypatch.setattr(Scenario, "build_room", build_room)
+        return built
+
+    def test_equal_room_specs_share_one_room_and_flood_fill(self, monkeypatch):
+        campaign = Campaign(
+            name="reuse",
+            scenarios=(get_scenario("dense-depot"), get_scenario("apartment")),
+            policies=("pseudo-random", "wall-following"),
+            speeds=(0.5,),
+            n_runs=1,
+            flight_time_s=5.0,
+            seed=3,
+        )
+        specs = campaign.missions()
+        assert [s.scenario.name for s in specs] == ["dense-depot"] * 2 + ["apartment"] * 2
+        fresh = []
+        for spec in specs:
+            runner._latest.world = None
+            fresh.append(runner.execute_mission(spec))
+        runner._latest.world = None
+        built = self._count_builds(monkeypatch)
+        floods = []
+        real_flood = freespace.reachable_free_mask
+        monkeypatch.setattr(
+            freespace,
+            "reachable_free_mask",
+            lambda *args: floods.append(args) or real_flood(*args),
+        )
+        reused = [runner.execute_mission(spec) for spec in specs]
+        assert reused == fresh
+        assert len(built) == 2
+        assert len(floods) == 2
+
+    def test_only_the_latest_world_is_kept(self, monkeypatch):
+        runner._latest.world = None
+        built = self._count_builds(monkeypatch)
+        room_a = runner._mission_room(get_scenario("dense-depot"))
+        runner._mission_room(get_scenario("apartment"))
+        assert runner._mission_room(get_scenario("dense-depot")) is not room_a
+        del room_a
+        gc.collect()
+        assert len(built) == 3
+        assert [ref() is None for ref in built] == [True, True, False]

@@ -145,6 +145,26 @@ class TestReachableCellMask:
         mask = reachable_cell_mask(room, Vec2(0.5, 0.5), 0.5, (2, 2))
         assert mask.all()  # degrade to raw normalization, never 0/0
 
+    def test_a_room_floods_each_mask_once(self, monkeypatch):
+        from repro.world import freespace
+
+        room = Room(4.0, 2.0, [Obstacle(AABB(1.9, 0.0, 2.1, 2.0), name="wall")])
+        floods = []
+        real = freespace.reachable_free_mask
+        monkeypatch.setattr(
+            freespace,
+            "reachable_free_mask",
+            lambda *args: floods.append(args) or real(*args),
+        )
+        first = reachable_cell_mask(room, Vec2(0.5, 0.5), 0.5, (4, 8))
+        first[:] = False  # callers get copies
+        again = reachable_cell_mask(room, Vec2(0.5, 0.5), 0.5, (4, 8))
+        assert len(floods) == 1
+        assert again[:, :3].all() and not again[:, 5:].any()
+        reachable_cell_mask(room, Vec2(3.5, 0.5), 0.5, (4, 8))
+        reachable_cell_mask(Room(4.0, 2.0), Vec2(0.5, 0.5), 0.5, (4, 8))
+        assert len(floods) == 3
+
     def test_fine_resolution_resolves_generator_walls(self):
         assert FINE_RESOLUTION_M <= 0.1
 

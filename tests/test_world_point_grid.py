@@ -6,21 +6,28 @@ its answers must equal the full-array reference path (``accel="none"``)
 exactly -- including on the generated 1000+-segment worlds it exists for.
 The clear-cell raster in front of it answers ``True`` without the exact
 test, so its edges (cell boundaries, the margin distance, the walls'
-band) are probed one ulp at a time.
+band) are probed one ulp at a time. Outside clear cells ``is_free``
+runs the exact test on each cell's candidates in Python floats, so the
+margin distance is probed one ulp at a time from segment midpoints and
+endpoints, and a point inside the ``EXACT_BAND`` band must take the
+numpy lane.
 """
 
 import numpy as np
 import pytest
 
+from repro.geometry.segments import Segment
+from repro.geometry.shapes import AABB
 from repro.geometry.vec import Vec2
 from repro.sim import generate_scenario, get_scenario
 from repro.world.layouts import cluttered_room
 from repro.world.room import (
     CLEAR_CELLS,
     CLEAR_SLACK_M,
-    OBSTACLE_GRID_THRESHOLD,
     POINT_GRID_THRESHOLD,
+    Obstacle,
     Room,
+    _SegmentDistanceField,
     _shape_bbox,
 )
 
@@ -102,15 +109,14 @@ class TestThresholds:
     def test_auto_keeps_small_rooms_on_reference_path(self):
         room = Room(6.5, 5.5, accel="auto")
         assert room._all_field._grid is None
-        assert room._obstacle_index is None
+        assert room._raster(0.07) is None
 
     def test_auto_activates_above_thresholds(self):
         scenario = generate_scenario("cluttered-warehouse", {}, seed=1)
         room = scenario.build_room()
-        assert len(room.obstacles) >= OBSTACLE_GRID_THRESHOLD
         assert len(room.all_segments()) >= POINT_GRID_THRESHOLD
         assert room._all_field._grid is not None
-        assert room._obstacle_index is not None
+        assert room._raster(0.07) is not None
 
     def test_none_disables_everything(self):
         scenario = generate_scenario("cluttered-warehouse", {}, seed=1)
@@ -118,7 +124,7 @@ class TestThresholds:
         room = Room(spec.width, spec.length, [o.build() for o in spec.obstacles], accel="none")
         assert room._all_field._grid is None
         assert room._obstacle_field._grid is None
-        assert room._obstacle_index is None
+        assert room._raster(0.07) is None
 
 
 def _clear_cell_points(room, margin, seed):
@@ -222,3 +228,117 @@ class TestClearCells:
         for margin in (-0.05, -0.0):
             expected = [brute.is_free(p, margin=margin) for p in pts]
             assert [auto.is_free(p, margin=margin) for p in pts] == expected
+
+
+def _ulps(v):
+    return (float(np.nextafter(v, -np.inf)), float(v), float(np.nextafter(v, np.inf)))
+
+
+def _candidate_points(room, margin):
+    """Points at ``margin`` and one ulp either side of it from every
+    obstacle segment's midpoint (along both normals) and from both of
+    its endpoints (along the segment, so ``t`` clamps to 0 and to 1,
+    and across it), plus points inside every obstacle."""
+    pts = []
+    for obs in room.obstacles[:60]:
+        xmin, ymin, xmax, ymax = _shape_bbox(obs.shape)
+        for tx in (0.1, 0.5, 0.9):
+            for ty in (0.1, 0.5, 0.9):
+                pts.append(Vec2(xmin + tx * (xmax - xmin), ymin + ty * (ymax - ymin)))
+        for seg in obs.segments():
+            d = seg.b - seg.a
+            along = d * (1.0 / d.norm())
+            normal = Vec2(-along.y, along.x)
+            mid = (seg.a + seg.b) * 0.5
+            offsets = [
+                (mid, normal), (mid, -normal),
+                (seg.a, -along), (seg.a, normal), (seg.b, along), (seg.b, -normal),
+            ]
+            for base, direction in offsets:
+                probe = base + direction * margin
+                for x, y in zip(_ulps(probe.x), _ulps(probe.y)):
+                    pts.append(Vec2(x, y))
+    return pts
+
+
+def _spy_numpy_lane(room):
+    """Count the room's calls of the numpy distance lane."""
+    field = room._obstacle_field
+    calls = []
+    distances = field._distances
+
+    def spy(p):
+        calls.append(p)
+        return distances(p)
+
+    field._distances = spy
+    return calls
+
+
+class TestCellCandidates:
+    """Outside clear cells the per-cell candidates answer as the full scan."""
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ("cluttered-office", None),
+            ("dense-depot", None),
+            ("perfect-maze", 4),
+            ("cluttered-warehouse", 4),
+            ("scatter-field", 4),
+        ],
+        ids=lambda s: s[0],
+    )
+    def test_margin_probes_equal_reference(self, scenario):
+        name, seed = scenario
+        if seed is None:
+            spec = get_scenario(name).room
+        else:
+            spec = generate_scenario(name, {}, seed=seed).room
+        obstacles = [o.build() for o in spec.obstacles]
+        brute = Room(spec.width, spec.length, obstacles, accel="none")
+        auto = Room(spec.width, spec.length, obstacles, accel="auto")
+        for margin in MARGINS:
+            pts = _candidate_points(brute, margin)
+            expected = [brute.is_free(p, margin=margin) for p in pts]
+            got = [auto.is_free(p, margin=margin) for p in pts]
+            wrong = [(p, margin) for p, e, g in zip(pts, expected, got) if e != g]
+            assert not wrong, wrong[:5]
+            # Both answers occur, and the probes run the candidate test.
+            assert 0 < sum(expected) < len(expected)
+            cells = auto._raster(margin)
+            xs = np.array([p.x for p in pts])
+            ys = np.array([p.y for p in pts])
+            assert (~cells.hits(xs, ys)).sum() > len(pts) // 2
+
+    def test_point_in_the_band_takes_the_numpy_lane(self):
+        box = Obstacle(AABB(1.5, 1.5, 2.5, 2.5))
+        brute = Room(4.0, 4.0, [box], accel="none")
+        auto = Room(4.0, 4.0, [box], accel="auto")
+        calls = _spy_numpy_lane(auto)
+        margin = 0.07
+        # Below the bottom edge's midpoint: the distance rounds to within
+        # an ulp or two of the margin, inside the band.
+        for y in _ulps(1.5 - margin):
+            p = Vec2(2.0, y)
+            del calls[:]
+            assert auto.is_free(p, margin) == brute.is_free(p, margin)
+            assert calls == [p]
+        # A hundredth of the margin off the band, the Python floats decide.
+        for p in (Vec2(2.0, 1.5 - 1.01 * margin), Vec2(2.0, 1.5 - 0.99 * margin)):
+            del calls[:]
+            assert auto.is_free(p, margin) == brute.is_free(p, margin)
+            assert calls == []
+
+    def test_zero_length_segment_never_blocks(self):
+        field = _SegmentDistanceField(
+            [Segment(Vec2(1.0, 1.0), Vec2(2.0, 1.0)), Segment(Vec2(3.0, 3.0), Vec2(3.0, 4.0))]
+        )
+        # Collapse the first segment: its lane is NaN (0 / 0) and never
+        # passes within a radius, so it is no candidate either.
+        field._dx[0] = field._dy[0] = field._len_sq[0] = 0.0
+        p = Vec2(1.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(field._distances(p)[0])
+            assert not field.any_within(p, 0.5)
+        assert [term[-1] for term in field.terms(np.arange(2))] == [1]
