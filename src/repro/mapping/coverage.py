@@ -37,10 +37,9 @@ class CoverageSeries:
     def from_arrays(cls, times: np.ndarray, coverage: np.ndarray) -> "CoverageSeries":
         """Build a series from whole sample arrays in one shot.
 
-        The fleet stepper accumulates every mission's coverage trace as
-        array columns and converts them here on exit; the result equals
-        appending the samples one by one (same finiteness and
-        monotonicity validation, vectorized).
+        Both tick loops build their series here from the whole trace
+        after the flight; the result equals appending the samples one by
+        one (same finiteness and monotonicity validation, vectorized).
 
         Raises:
             ValueError: on shape mismatch, non-finite samples, or a

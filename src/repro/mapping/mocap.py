@@ -2,8 +2,10 @@
 
 The paper tracks the drone with a mocap system at 50 Hz and computes all
 coverage statistics offline from that trace. Here the tracker samples the
-simulator's ground-truth state at the same rate and feeds the occupancy
-grid.
+simulator's ground-truth state at the same rate and, like the paper,
+computes coverage from the recorded trace: the flight only appends
+samples, and the occupancy grid folds them in, all at once, on its first
+query (:meth:`~repro.mapping.occupancy.OccupancyGrid.record_many`).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import numpy as np
 
 from repro.drone.dynamics import DroneState
 from repro.geometry.vec import Vec2
+from repro.mapping.coverage import CoverageSeries
 from repro.mapping.occupancy import OccupancyGrid
 from repro.world.room import Room
 
@@ -32,7 +35,7 @@ class TrackedSample:
 
 
 class MotionCaptureTracker:
-    """Records the ground-truth trajectory and updates an occupancy grid.
+    """Records the ground-truth trajectory; coverage follows from it.
 
     Args:
         room: room being tracked (defines the grid).
@@ -52,14 +55,15 @@ class MotionCaptureTracker:
     ):
         self.rate_hz = rate_hz
         kwargs = {} if cell_size is None else {"cell_size": cell_size}
-        self.grid = OccupancyGrid(room, start=start, **kwargs)
-        # Columnar storage: the tracker runs at the control rate, and
-        # allocating a TrackedSample + Vec2 per tick used to churn the
-        # tick loop; plain float lists append ~5x cheaper.
+        self._grid = OccupancyGrid(room, start=start, **kwargs)
+        # Columnar storage: observe runs every control tick, and plain
+        # float lists append ~5x cheaper than a TrackedSample + Vec2.
         self._times: List[float] = []
         self._xs: List[float] = []
         self._ys: List[float] = []
         self._headings: List[float] = []
+        self._folded = 0  # samples the grid has accounted
+        self._coverage: List[float] = []  # coverage after each folded sample
         self._period = 1.0 / rate_hz
         self._last_time: Optional[float] = None
 
@@ -95,15 +99,46 @@ class MotionCaptureTracker:
         """
         if self._last_time is not None and state.time - self._last_time < self._period - 1e-9:
             return False
-        dt = self._period if self._last_time is not None else 0.0
         self._last_time = state.time
         position = state.position
         self._times.append(state.time)
         self._xs.append(position.x)
         self._ys.append(position.y)
         self._headings.append(state.heading)
-        self.grid.record(position, dt)
         return True
+
+    @property
+    def grid(self) -> OccupancyGrid:
+        """The occupancy grid, with every sample recorded so far folded in.
+
+        Raises:
+            WorldError: when a pending sample has a non-finite position.
+        """
+        self._fold()
+        return self._grid
+
+    def series(self) -> CoverageSeries:
+        """Coverage over time: one point per sample, the coverage after it."""
+        self._fold()
+        return CoverageSeries.from_arrays(
+            np.array(self._times, dtype=np.float64),
+            np.array(self._coverage, dtype=np.float64),
+        )
+
+    def _fold(self) -> None:
+        """Account the samples the grid has not seen, in one call.
+
+        Each sample dwells one tracking period at its position; the
+        first sample of the flight dwells for none.
+        """
+        done, n = self._folded, len(self._times)
+        if done < n:
+            dts = np.full(n - done, self._period)
+            if done == 0:
+                dts[0] = 0.0
+            self._folded = n
+            coverage = self._grid.record_many(self._xs[done:], self._ys[done:], dts)
+            self._coverage.extend(coverage.tolist())
 
     def coverage(self) -> float:
         """Fraction of *reachable* free-space cells visited so far.
@@ -121,4 +156,4 @@ class MotionCaptureTracker:
     @property
     def reachable_cells(self) -> int:
         """Number of grid cells reachable from the start pose."""
-        return self.grid.reachable_cells
+        return self._grid.reachable_cells

@@ -19,7 +19,7 @@ keeps the historical visited-over-all-cells fraction.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,23 +57,21 @@ class OccupancyGrid:
         self.cell_size = cell_size
         self.nx = int(math.ceil(room.width / cell_size))
         self.ny = int(math.ceil(room.length / cell_size))
-        # Flat Python lists: `record` runs at the mocap rate (every
-        # control tick) and scalar list updates are ~3x cheaper than
-        # numpy item assignment; the array views are built on demand.
-        self._time = [0.0] * (self.nx * self.ny)
-        self._visited = [False] * (self.nx * self.ny)
+        n = self.nx * self.ny
+        # Dwell seconds per cell, plus one slot past the last cell that
+        # holds the dwell recorded outside the room.
+        self._time = np.zeros(n + 1, dtype=np.float64)
+        self._visited = np.zeros(n, dtype=bool)
         self._visited_count = 0
         self._visited_reachable_count = 0
-        self._out_of_room_time = 0.0
         self._out_of_room_count = 0
-        if start is None:
-            self._reachable = None
-            self.reachable_cells = self.nx * self.ny
-        else:
+        self._reachable: Optional[np.ndarray] = None
+        self.reachable_cells = n
+        if start is not None:
             mask = reachable_cell_mask(
                 room, start, cell_size, (self.ny, self.nx)
             )
-            self._reachable = mask.ravel().tolist()
+            self._reachable = mask.ravel()
             self.reachable_cells = int(mask.sum())
 
     @classmethod
@@ -115,16 +113,13 @@ class OccupancyGrid:
                 f"match the {expected} grid of a "
                 f"{room.width:g} x {room.length:g} m room at {cell_size:g} m"
             )
-        grid._time = [float(t) for t in time_arr.ravel()]
-        grid._visited = [bool(v) for v in visited_arr.ravel()]
+        grid._time[:-1] = time_arr.ravel()
+        grid._visited[:] = visited_arr.ravel()
         grid._visited_count = int(visited_arr.sum())
-        if grid._reachable is None:
-            grid._visited_reachable_count = grid._visited_count
-        else:
-            reachable = np.array(grid._reachable, dtype=bool)
-            grid._visited_reachable_count = int(
-                (visited_arr.ravel() & reachable).sum()
-            )
+        reached = grid._visited
+        if grid._reachable is not None:
+            reached = reached & grid._reachable
+        grid._visited_reachable_count = int(reached.sum())
         return grid
 
     @property
@@ -140,7 +135,7 @@ class OccupancyGrid:
         """
         if self._reachable is None:
             return np.ones((self.ny, self.nx), dtype=bool)
-        return np.array(self._reachable, dtype=bool).reshape(self.ny, self.nx)
+        return self._reachable.reshape(self.ny, self.nx).copy()
 
     def cell_of(self, p: Vec2) -> Tuple[int, int]:
         """Grid indices ``(ix, iy)`` of the cell containing ``p``.
@@ -174,32 +169,80 @@ class OccupancyGrid:
     def record(self, p: Vec2, dt: float) -> None:
         """Account a dwell of ``dt`` seconds at position ``p``.
 
-        Out-of-room positions (a tracker fed poses beyond the walls) do
-        not touch any cell; their dwell accumulates separately in
-        :attr:`out_of_room_time` / :attr:`out_of_room_count`.
+        The one-sample case of :meth:`record_many`: an out-of-room
+        position (a tracker fed poses beyond the walls) touches no cell;
+        its dwell accumulates separately in :attr:`out_of_room_time` /
+        :attr:`out_of_room_count`.
 
         Raises:
             WorldError: on a non-finite position.
         """
-        if not (math.isfinite(p.x) and math.isfinite(p.y)):
-            raise WorldError(f"non-finite position ({p.x}, {p.y})")
-        if not self._in_room(p):
-            self._out_of_room_time += dt
-            self._out_of_room_count += 1
-            return
-        ix, iy = self._clamped_cell(p)
-        idx = iy * self.nx + ix
-        self._time[idx] += dt
-        if not self._visited[idx]:
-            self._visited[idx] = True
-            self._visited_count += 1
-            if self._reachable is None or self._reachable[idx]:
-                self._visited_reachable_count += 1
+        self.record_many([p.x], [p.y], [dt])
+
+    def record_many(
+        self, xs: Sequence[float], ys: Sequence[float], dts: Sequence[float]
+    ) -> np.ndarray:
+        """Account a trajectory, sample by sample; the coverage after each.
+
+        Sample ``i`` is a dwell of ``dts[i]`` seconds at ``(xs[i],
+        ys[i])``. Every number this leaves behind -- occupancy time,
+        visited cells, out-of-room dwell and count -- and each returned
+        :meth:`coverage` value equals, bit for bit, a loop that accounts
+        one sample at a time (``tests/test_coverage_offline.py`` keeps it
+        as the oracle): ``np.add.at`` adds each cell's dwells one at a
+        time in sample order, and the coverage after a sample is a
+        running count of first visits to reachable cells over
+        :attr:`reachable_cells` (docs/determinism.md).
+
+        Returns:
+            The coverage after each sample, as a float array.
+
+        Raises:
+            WorldError: on a non-finite position, after accounting the
+                samples before it.
+        """
+        x = np.asarray(xs, dtype=np.float64)
+        y = np.asarray(ys, dtype=np.float64)
+        dt = np.asarray(dts, dtype=np.float64)
+        finite = np.isfinite(x) & np.isfinite(y)
+        error = None
+        if not finite.all():
+            k = int(np.argmin(finite))
+            error = WorldError(f"non-finite position ({float(x[k])}, {float(y[k])})")
+            x, y, dt = x[:k], y[:k], dt[:k]
+        n_cells = self.n_cells
+        inside = np.flatnonzero(
+            (x >= 0.0) & (x <= self.room.width) & (y >= 0.0) & (y <= self.room.length)
+        )
+        # Positions on the far walls clamp into the last cell; an
+        # out-of-room sample goes to the slot past the last cell.
+        ix = np.minimum((x[inside] / self.cell_size).astype(np.intp), self.nx - 1)
+        iy = np.minimum((y[inside] / self.cell_size).astype(np.intp), self.ny - 1)
+        idx = np.full(x.size, n_cells, dtype=np.intp)
+        idx[inside] = iy * self.nx + ix
+        np.add.at(self._time, idx, dt)
+        self._out_of_room_count += x.size - inside.size
+        cells, first = np.unique(idx[inside], return_index=True)
+        fresh = ~self._visited[cells]
+        cells = cells[fresh]
+        self._visited[cells] = True
+        self._visited_count += cells.size
+        reached = inside[first[fresh]]
+        if self._reachable is not None:
+            reached = reached[self._reachable[cells]]
+        gains = np.zeros(x.size, dtype=np.int64)
+        gains[reached] = 1
+        counts = np.cumsum(gains)
+        counts += self._visited_reachable_count
+        self._visited_reachable_count += reached.size
+        if error is not None:
+            raise error
+        return counts / self.reachable_cells
 
     @property
     def out_of_room_time(self) -> float:
         """Dwell seconds recorded at positions outside the room."""
-        return self._out_of_room_time
+        return float(self._time[-1])
 
     @property
     def out_of_room_count(self) -> int:
@@ -209,12 +252,12 @@ class OccupancyGrid:
     @property
     def visited_mask(self) -> np.ndarray:
         """Boolean ``(ny, nx)`` array of visited cells (copy)."""
-        return np.array(self._visited, dtype=bool).reshape(self.ny, self.nx)
+        return self._visited.reshape(self.ny, self.nx).copy()
 
     @property
     def occupancy_time(self) -> np.ndarray:
         """Seconds spent per cell, ``(ny, nx)`` (copy)."""
-        return np.array(self._time, dtype=np.float64).reshape(self.ny, self.nx)
+        return self._time[:-1].reshape(self.ny, self.nx).copy()
 
     def visited_count(self) -> int:
         """Number of visited cells (tracked incrementally, O(1))."""

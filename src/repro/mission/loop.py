@@ -3,15 +3,17 @@
 The STM32 runs one exploration control loop whether or not the GAP8
 detector consumes camera frames: exploration-only runs (Sec. IV-B) and
 the closed-loop search (Sec. IV-C) are the same flight with the camera
-off or on. Recording only observes, so a recorded flight is
-bit-identical to an unrecorded one; its phase timings come from
-wrapping the loop's bound callables in
+off or on. The loop records the trajectory and nothing more; coverage
+follows from the mocap trace after the flight, as in the paper. Recording
+only observes, so a recorded flight is bit-identical to an unrecorded
+one; its phase timings come from wrapping the loop's bound callables in
 :meth:`~repro.obs.FlightRecorder.timed`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +21,7 @@ import numpy as np
 from repro.drone.crazyflie import Crazyflie, CrazyflieConfig
 from repro.geometry.vec import Vec2
 from repro.mapping.coverage import CoverageSeries
-from repro.mapping.mocap import MotionCaptureTracker
+from repro.mapping.mocap import MotionCaptureTracker, TrackedSample
 from repro.mapping.occupancy import OccupancyGrid
 from repro.mission.detector_model import DetectionChannel
 from repro.obs import FlightRecorder, MissionTrace
@@ -50,8 +52,8 @@ class FlightResult:
     grid has cells inside obstacles or sealed pockets.
 
     An exploration flight leaves the detection fields empty. The fleet
-    stepper keeps only counters, so its results carry no ``grid`` or
-    ``samples``.
+    stepper keeps no mocap tracker, so its results read ``samples`` as
+    ``None``.
     """
 
     coverage: float  #: fraction of reachable free-space cells visited, [0, 1]
@@ -63,7 +65,7 @@ class FlightResult:
     reachable_cells: int = 0  #: grid cells reachable from the start pose
     grid_cells: int = 0  #: total grid cells (the coverage_raw denominator)
     grid: Optional[OccupancyGrid] = None  #: final occupancy grid
-    samples: Optional[list] = None  #: mocap trajectory (:class:`TrackedSample` list)
+    tracker: Optional[MotionCaptureTracker] = None  #: the flight's mocap trace
     detection_rate: float = 0.0  #: detected objects / placed objects
     events: List[DetectionEvent] = field(default_factory=list)
     frames_processed: int = 0  #: camera frames the detector consumed
@@ -73,6 +75,11 @@ class FlightResult:
         if self.detection_rate < 1.0 or not self.events:
             return None
         return max(e.time_s for e in self.events)
+
+    @cached_property
+    def samples(self) -> Optional[List[TrackedSample]]:
+        """The mocap trajectory, built on first read (``None`` without a tracker)."""
+        return None if self.tracker is None else self.tracker.samples
 
 
 def fly(
@@ -106,7 +113,6 @@ def fly(
         rng = np.random.default_rng(detector_stream)
         frame_period = 1.0 / fps
     tracker = MotionCaptureTracker(room, start=drone.state.position)
-    series = CoverageSeries()
     first_detection: Dict[str, DetectionEvent] = {}
     frames = 0
     distance = 0.0
@@ -134,11 +140,7 @@ def fly(
         state = step(setpoint)
         distance += state.position.distance_to(last_pos)
         last_pos = state.position
-        if observe(state):
-            coverage = tracker.coverage()
-            series.append(state.time, coverage)
-            if recorder is not None:
-                recorder.coverage_sample(state.time, coverage)
+        observe(state)
         # Frame times derive from the frame index: repeatedly adding
         # frame_period accumulates float error over the ~18k ticks of
         # a 180 s flight and slowly drifts the camera schedule.
@@ -161,9 +163,11 @@ def fly(
                 state, estimate, setpoint, reading, drone.dynamics.collision_count
             )
 
+    coverage = tracker.coverage()
+    series = tracker.series()
     events = sorted(first_detection.values(), key=lambda e: e.time_s)
     result = FlightResult(
-        coverage=tracker.coverage(),
+        coverage=coverage,
         series=series,
         collisions=drone.dynamics.collision_count,
         flight_time_s=flight_time_s,
@@ -172,13 +176,15 @@ def fly(
         reachable_cells=tracker.reachable_cells,
         grid_cells=tracker.grid.n_cells,
         grid=tracker.grid,
-        samples=tracker.samples,
+        tracker=tracker,
         detection_rate=0.0 if channel is None else len(events) / len(objects),
         events=events,
         frames_processed=frames,
     )
     if recorder is None:
         return result, None
+    for t, value in zip(series.times.tolist(), series.coverage.tolist()):
+        recorder.coverage_sample(t, value)
     final = {
         k: getattr(result, k)
         for k in (

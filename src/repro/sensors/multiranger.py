@@ -9,7 +9,6 @@ for interface completeness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 import numpy as np
@@ -21,15 +20,42 @@ from repro.sensors.tape import DROPOUT, RANGE, REFRESH_BLOCK, tape
 from repro.sensors.tof import ToFSensor, VL53L1X_MAX_RANGE_M, VL53L1X_RATE_HZ
 
 
-@dataclass(frozen=True)
 class RangerReading:
-    """One synchronized reading of the whole deck, in metres."""
+    """One synchronized reading of the whole deck, in metres.
 
-    front: float
-    back: float
-    left: float
-    right: float
-    up: float
+    A ``__slots__`` value class (see
+    :class:`~repro.drone.dynamics.DroneState` for why): the deck makes
+    one per refresh, a fleet block one per mission per refresh.
+    """
+
+    __slots__ = ("front", "back", "left", "right", "up")
+
+    def __init__(self, front: float, back: float, left: float, right: float, up: float):
+        self.front = front
+        self.back = back
+        self.left = left
+        self.right = right
+        self.up = up
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is RangerReading:
+            return (
+                self.front == other.front
+                and self.back == other.back
+                and self.left == other.left
+                and self.right == other.right
+                and self.up == other.up
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.front, self.back, self.left, self.right, self.up))
+
+    def __repr__(self) -> str:
+        return (
+            f"RangerReading(front={self.front!r}, back={self.back!r}, "
+            f"left={self.left!r}, right={self.right!r}, up={self.up!r})"
+        )
 
     def as_dict(self) -> Dict[str, float]:
         """Mapping from beam name to distance."""

@@ -4,14 +4,18 @@ PR 2 vectorized *within* a control tick (one drone's Multi-ranger beams
 per kernel call); this module vectorizes *across missions*. A fleet
 block holds the state of N missions that share one world and one drone
 configuration as structure-of-arrays ``(N,)`` numpy arrays -- positions,
-velocities, estimator state, setpoints -- plus an ``(N, cells)`` visited
-mask, and advances all of them in lock-step: one multi-origin raycast
+velocities, estimator state, setpoints -- and advances all of them in
+lock-step: one multi-origin raycast
 (:meth:`~repro.geometry.raycast.RayCaster.cast_fleet`) resolves every
 drone's beams per refresh, and the dynamics, sensor-noise and estimator
 updates are single vectorized expressions per tick. Only the genuinely
 per-mission, branchy pieces stay scalar: the policy state machines, the
 sparse camera-frame/detection events, and collision resolution on the
-rare blocked tick.
+rare blocked tick. Each tick also writes the block's positions into an
+``(N, ticks + 1)`` history; a mission's coverage, occupancy and path
+length come from its row of that history when it finishes, through the
+same :meth:`~repro.mapping.occupancy.OccupancyGrid.record_many` the
+serial tracker folds its trace with.
 
 The contract is **bit-identity**: a fleet-stepped mission produces
 exactly the :class:`~repro.sim.results.MissionRecord` the serial
@@ -34,22 +38,22 @@ properties make that possible:
   bit-identical floats (``np.cos``/``np.sin``/``np.fmod``/``np.clip``
   equal their ``math`` counterparts elementwise; ``np.exp`` and
   ``np.hypot`` do not, which is why the response constants and the
-  distance accumulation stay scalar).
+  path length, ``math.hypot`` per step added in tick order, stay
+  scalar).
 
 Missions that finish early (shorter ``flight_time_s``) are masked out:
-their lanes get hover setpoints and stop contributing policy, coverage
-or detection work; their records are snapshotted at their own final
-tick.
+their lanes get hover setpoints and stop contributing policy or
+detection work; their records are snapshotted at their own final tick.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.drone.controller import VelocityController
+from repro.drone.controller import SetPoint, VelocityController
 from repro.drone.crazyflie import CrazyflieConfig
 from repro.drone.dynamics import CRAZYFLIE_RADIUS_M, DroneDynamics, DroneState
 from repro.drone.state_estimator import EstimatedState
@@ -60,7 +64,7 @@ from repro.mapping.mocap import MOCAP_RATE_HZ
 from repro.mapping.occupancy import OccupancyGrid
 from repro.mission.detector_model import CalibratedDetectorModel
 from repro.mission.loop import DetectionEvent, FlightResult
-from repro.policies import ExplorationPolicy, PolicyConfig, make_policy
+from repro.policies import PolicyConfig, make_policy
 from repro.seeding import spawn_streams
 from repro.sensors.camera import HimaxCamera
 from repro.sensors.flowdeck import FlowDeck
@@ -172,9 +176,12 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             mocap_dt.append(mocap_period if last_mocap is not None else 0.0)
             last_mocap = t
     r_total = sum(refresh)
+    mocap_dts = np.array(mocap_dt, dtype=np.float64)
+    sample_ticks = np.flatnonzero(mocap_dts >= 0.0)
+    sample_times = np.array(times_post, dtype=np.float64)[sample_ticks]
 
     # -- per-mission setup --------------------------------------------------
-    policies: List[ExplorationPolicy] = []
+    updates: List[Callable[..., SetPoint]] = []
     readings: List[Optional[RangerReading]] = [None] * n
     det_rngs: List[np.random.Generator] = []
     channels: List[CalibratedDetectorModel] = []
@@ -201,7 +208,7 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             frame_periods.append(1.0 / op.fps)
         policy = make_policy(spec.policy, PolicyConfig(cruise_speed=spec.speed))
         policy.reset(policy_stream)
-        policies.append(policy)
+        updates.append(policy.update)
         if noisy:
             assert flow_z is not None and gyro_z is not None
             assert drop_u is not None and tof_z is not None
@@ -225,15 +232,7 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             drop_u[j] = draw_rows(np.random.default_rng(drop_stream), DROPOUT, r_total)
             tof_z[j] = draw_rows(np.random.default_rng(noise_stream), RANGE, r_total)
 
-    # -- shared world / occupancy setup ------------------------------------
-    grid0 = OccupancyGrid(room, start=start)
-    ncells = grid0.n_cells
-    reach_cells = grid0.reachable_cells
-    gnx, gny = grid0.nx, grid0.ny
-    cell = grid0.cell_size
-    reach_flat = grid0.reachable_mask.ravel().astype(np.int64)
-    width, length = room.width, room.length
-
+    # -- shared constants ---------------------------------------------------
     mounts = np.array(
         [normalize_angle(a) for a in BEAM_ANGLES.values()], dtype=np.float64
     )
@@ -265,38 +264,47 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
     sp_f = np.zeros(n, dtype=np.float64)
     sp_s = np.zeros(n, dtype=np.float64)
     sp_w = np.zeros(n, dtype=np.float64)
-    visited = np.zeros((n, ncells), dtype=bool)
-    vcount = np.zeros(n, dtype=np.int64)
-    vreach = np.zeros(n, dtype=np.int64)
-    cov_hist = np.zeros((n, n_max), dtype=np.float64)
+    # Column k holds every lane's position after k ticks.
+    hist_x = np.empty((n, n_max + 1), dtype=np.float64)
+    hist_y = np.empty((n, n_max + 1), dtype=np.float64)
+    hist_x[:, 0] = x
+    hist_y[:, 0] = y
     collisions = [0] * n
-    distance = [0.0] * n
     frames = [0] * n
     first_det: List[Dict[str, DetectionEvent]] = [dict() for _ in range(n)]
     records: List[Optional[MissionRecord]] = [None] * n
+    finishing: Dict[int, List[int]] = {}
+    for i, n_i in enumerate(n_steps):
+        finishing.setdefault(n_i - 1, []).append(i)
 
     active = list(range(n))
     act = np.arange(n, dtype=np.intp)
     r = 0  # refresh row index, shared by every lane
 
     def _snapshot(i: int) -> MissionRecord:
+        """Mission ``i``'s record, from its row of the position history."""
         spec = specs[i]
         n_i = n_steps[i]
-        sampled = [kk for kk in range(n_i) if mocap_dt[kk] >= 0.0]
-        series = CoverageSeries.from_arrays(
-            np.array([times_post[kk] for kk in sampled], dtype=np.float64),
-            cov_hist[i, sampled],
-        )
+        xs = hist_x[i, : n_i + 1]
+        ys = hist_y[i, : n_i + 1]
+        distance = 0.0
+        for step_x, step_y in zip(np.diff(xs).tolist(), np.diff(ys).tolist()):
+            distance += math.hypot(step_x, step_y)
+        n_samples = int(np.searchsorted(sample_ticks, n_i))
+        ticks = sample_ticks[:n_samples]
+        grid = OccupancyGrid(room, start=start)
+        coverage = grid.record_many(xs[ticks + 1], ys[ticks + 1], mocap_dts[ticks])
         events = sorted(first_det[i].values(), key=lambda e: e.time_s)
         result = FlightResult(
-            coverage=int(vreach[i]) / reach_cells,
-            series=series,
+            coverage=grid.coverage(),
+            series=CoverageSeries.from_arrays(sample_times[:n_samples], coverage),
             collisions=collisions[i],
             flight_time_s=spec.flight_time_s,
-            distance_flown_m=distance[i],
-            coverage_raw=int(vcount[i]) / ncells,
-            reachable_cells=reach_cells,
-            grid_cells=ncells,
+            distance_flown_m=distance,
+            coverage_raw=grid.coverage_raw(),
+            reachable_cells=grid.reachable_cells,
+            grid_cells=grid.n_cells,
+            grid=grid,
             detection_rate=len(events) / len(objects) if kind == "search" else 0.0,
             events=events,
             frames_processed=frames[i],
@@ -330,27 +338,22 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
                 )
             else:
                 vals = true_d
-            for j, i in enumerate(active):
-                front, left, back, right = vals[j].tolist()
-                readings[i] = RangerReading(
-                    front=front, back=back, left=left, right=right, up=max_range
-                )
+            for i, (front, left, back, right) in zip(active, vals.tolist()):
+                readings[i] = RangerReading(front, back, left, right, max_range)
             r += 1
 
         # -- policy evaluation (scalar state machines) ----------------------
         est_t = times_pre[k]
+        ex, ey, eh = est_x.tolist(), est_y.tolist(), est_h.tolist()
+        evx, evy, ewz = est_vx.tolist(), est_vy.tolist(), est_wz.tolist()
+        fs: List[float] = []
+        ss: List[float] = []
+        ws: List[float] = []
         for i in active:
-            estimate = EstimatedState(
-                position=Vec2(est_x[i], est_y[i]),
-                heading=est_h[i],
-                vx_body=est_vx[i],
-                vy_body=est_vy[i],
-                yaw_rate=est_wz[i],
-                time=est_t,
+            setpoint = updates[i](
+                readings[i],
+                EstimatedState(Vec2(ex[i], ey[i]), eh[i], evx[i], evy[i], ewz[i], est_t),
             )
-            reading = readings[i]
-            assert reading is not None
-            setpoint = policies[i].update(reading, estimate)
             f_ = setpoint.forward
             s_ = setpoint.side
             w_ = setpoint.yaw_rate
@@ -362,9 +365,12 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
                 f_ = max(-vmax, min(vmax, f_))
                 s_ = max(-vmax, min(vmax, s_))
                 w_ = max(-wmax, min(wmax, w_))
-            sp_f[i] = f_
-            sp_s[i] = s_
-            sp_w[i] = w_
+            fs.append(f_)
+            ss.append(s_)
+            ws.append(w_)
+        sp_f[act] = fs
+        sp_s[act] = ss
+        sp_w[act] = ws
 
         # -- dynamics (vectorized; scalar only on blocked lanes) ------------
         vx_n = vx + alpha_v * (sp_f - vx)
@@ -404,6 +410,8 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
                 vy_n[i] = -s_c * actual_x + c_ * actual_y
                 x_n[i] = new_pos.x
                 y_n[i] = new_pos.y
+        hist_x[:, k + 1] = x_n
+        hist_y[:, k + 1] = y_n
 
         # -- estimator (vectorized flow/gyro fusion) ------------------------
         if noisy:
@@ -424,56 +432,33 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
         est_vy = meas_vy
         est_wz = gyro_meas
 
-        # -- mocap / occupancy (vectorized scatter) -------------------------
-        if mocap_dt[k] >= 0.0:
-            px = x_n[act]
-            py = y_n[act]
-            in_room = (px >= 0.0) & (px <= width) & (py >= 0.0) & (py <= length)
-            if in_room.any():
-                rows = act[in_room]
-                ix = np.clip((px[in_room] / cell).astype(np.int64), 0, gnx - 1)
-                iy = np.clip((py[in_room] / cell).astype(np.int64), 0, gny - 1)
-                idx = iy * gnx + ix
-                fresh = ~visited[rows, idx]
-                if fresh.any():
-                    new_rows = rows[fresh]
-                    new_idx = idx[fresh]
-                    visited[new_rows, new_idx] = True
-                    vcount[new_rows] += 1
-                    vreach[new_rows] += reach_flat[new_idx]
-            cov_hist[act, k] = vreach[act] / reach_cells
-
-        # -- per-lane tail: distance, sparse camera frames ------------------
-        t_post = times_post[k]
-        for i in active:
-            distance[i] += math.hypot(x_n[i] - x[i], y_n[i] - y[i])
-            if kind == "search" and t_post + 1e-9 >= frames[i] * frame_periods[i]:
-                frames[i] += 1
-                pos = Vec2(x_n[i], y_n[i])
-                state = DroneState(
-                    position=pos,
-                    heading=h_n[i],
-                    vx_body=vx_n[i],
-                    vy_body=vy_n[i],
-                    yaw_rate=wz_n[i],
-                    time=t_post,
-                )
-                observations = camera.observe(caster, pos, h_n[i], objects)
-                for obs in channels[i].detect(observations, state, det_rngs[i]):
-                    name = obs.obj.name
-                    if name not in first_det[i]:
-                        first_det[i][name] = DetectionEvent(
-                            object_name=name,
-                            object_class=obs.obj.object_class.value,
-                            time_s=t_post,
-                            distance_m=obs.distance_m,
-                        )
+        # -- sparse camera frames -------------------------------------------
+        if kind == "search":
+            t_post = times_post[k]
+            for i in active:
+                if t_post + 1e-9 >= frames[i] * frame_periods[i]:
+                    frames[i] += 1
+                    pos = Vec2(float(x_n[i]), float(y_n[i]))
+                    heading = float(h_n[i])
+                    state = DroneState(
+                        pos, heading, float(vx_n[i]), float(vy_n[i]), float(wz_n[i]), t_post
+                    )
+                    observations = camera.observe(caster, pos, heading, objects)
+                    for obs in channels[i].detect(observations, state, det_rngs[i]):
+                        name = obs.obj.name
+                        if name not in first_det[i]:
+                            first_det[i][name] = DetectionEvent(
+                                object_name=name,
+                                object_class=obs.obj.object_class.value,
+                                time_s=t_post,
+                                distance_m=obs.distance_m,
+                            )
 
         x, y, h = x_n, y_n, h_n
         vx, vy, wz = vx_n, vy_n, wz_n
 
         # -- early-finish masking -------------------------------------------
-        done_now = [i for i in active if n_steps[i] == k + 1]
+        done_now = finishing.get(k)
         if done_now:
             for i in done_now:
                 records[i] = _snapshot(i)

@@ -247,15 +247,21 @@ class Scenario:
         The cosmetic ``description`` is excluded, mirroring
         :meth:`repro.sim.campaign.Campaign.campaign_hash`: rewording a
         preset's documentation must not change its identity. Generator
-        determinism tests compare this hash across processes.
+        determinism tests compare this hash across processes. Memoized,
+        as :meth:`~repro.exec.jobspec.JobSpec.content_hash` is: the
+        scenario is frozen, and a fleet block asks once per member.
 
         Returns:
             The hex digest as a string.
         """
-        data = self.to_dict()
-        data.pop("description", None)
-        blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        cached = self.__dict__.get("_content_hash")
+        if cached is None:
+            data = self.to_dict()
+            data.pop("description", None)
+            blob = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            cached = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_content_hash", cached)
+        return cached
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":

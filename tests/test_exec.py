@@ -14,12 +14,19 @@ from repro.exec import (
     JobFailure,
     JobSpec,
     ResultCache,
+    canonical_json,
     canonical_value,
     default_cache_dir,
     json_roundtrip,
     resolve_workers,
 )
 from repro.exec.demo import run_each, scaled_sum, seeded_normals
+
+
+def mixed_payload():
+    """A result whose canonical JSON moves under normalization: a tuple,
+    and int keys that sort as numbers before and as strings after."""
+    return {"series": (0.1, 0.25, -0.0), "cells": {10: 1.5, 2: (3, None)}}
 
 
 def demo_job(n=2, entropy=5, key=(0,), version="v1", label=""):
@@ -167,6 +174,25 @@ class TestResultCache:
         assert stats.entries == 3 and stats.total_bytes > 0
         assert cache.clear() == 3
         assert cache.stats() == (0, 0, (), 0, 0)
+
+    @pytest.mark.parametrize("path", ["executor", "direct put"])
+    def test_tuple_and_int_key_payload_normalized_once(self, tmp_path, path):
+        job = JobSpec(fn=f"{__name__}:mixed_payload", version="v1")
+        normal = json_roundtrip(mixed_payload())
+        assert list(normal["cells"]) == ["10", "2"]
+        cache = ResultCache(str(tmp_path))
+        if path == "executor":
+            assert Executor(cache=cache).run([job]) == [normal]
+        else:
+            cache.put(job, mixed_payload())
+        with open(cache.entry_path(job.content_hash()), encoding="utf-8") as fh:
+            blob = fh.read()
+        assert blob == canonical_json(
+            {"schema": CACHE_SCHEMA, "job": job.to_dict(), "result": normal}
+        )
+        assert '"cells":{"10":1.5,"2":[3,null]}' in blob
+        assert cache.get(job) == (normal, True)
+        assert Executor(cache=cache).run([job]) == [normal]
 
     def test_cache_files_are_deterministic(self, tmp_path):
         job = demo_job()

@@ -10,28 +10,47 @@ band) are probed one ulp at a time. Outside clear cells ``is_free``
 runs the exact test on each cell's candidates in Python floats, so the
 margin distance is probed one ulp at a time from segment midpoints and
 endpoints, and a point inside the ``EXACT_BAND`` band must take the
-numpy lane.
+numpy lane. A margin's raster is built on its ``RASTER_BUILD_QUERY``-th
+query, so importing the presets builds none and a flight still builds
+one per margin.
 """
+
+import collections
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from repro.drone.dynamics import CRAZYFLIE_RADIUS_M
 from repro.geometry.segments import Segment
 from repro.geometry.shapes import AABB
 from repro.geometry.vec import Vec2
+from repro.mission.explorer import ExplorationMission
+from repro.policies import PolicyConfig, make_policy
 from repro.sim import generate_scenario, get_scenario
 from repro.world.layouts import cluttered_room
 from repro.world.room import (
     CLEAR_CELLS,
     CLEAR_SLACK_M,
     POINT_GRID_THRESHOLD,
+    RASTER_BUILD_QUERY,
     Obstacle,
     Room,
+    _ClearCells,
     _SegmentDistanceField,
     _shape_bbox,
 )
 
 MARGINS = (0.0, 0.07, 0.1, 0.35)
+
+
+def _built_raster(room, margin):
+    """Query ``room`` at ``margin`` until it builds that raster; the raster."""
+    for _ in range(RASTER_BUILD_QUERY - 1):
+        assert room._raster(margin) is None
+    return room._raster(margin)
 
 
 def _rooms(width, length, obstacles):
@@ -116,7 +135,7 @@ class TestThresholds:
         room = scenario.build_room()
         assert len(room.all_segments()) >= POINT_GRID_THRESHOLD
         assert room._all_field._grid is not None
-        assert room._raster(0.07) is not None
+        assert _built_raster(room, 0.07) is not None
 
     def test_none_disables_everything(self):
         scenario = generate_scenario("cluttered-warehouse", {}, seed=1)
@@ -315,8 +334,9 @@ class TestCellCandidates:
         box = Obstacle(AABB(1.5, 1.5, 2.5, 2.5))
         brute = Room(4.0, 4.0, [box], accel="none")
         auto = Room(4.0, 4.0, [box], accel="auto")
-        calls = _spy_numpy_lane(auto)
         margin = 0.07
+        _built_raster(auto, margin)
+        calls = _spy_numpy_lane(auto)
         # Below the bottom edge's midpoint: the distance rounds to within
         # an ulp or two of the margin, inside the band.
         for y in _ulps(1.5 - margin):
@@ -342,3 +362,62 @@ class TestCellCandidates:
             assert np.isnan(field._distances(p)[0])
             assert not field.any_within(p, 0.5)
         assert [term[-1] for term in field.terms(np.arange(2))] == [1]
+
+
+class TestRasterBuildPoint:
+    """Rasters are built for the rooms that query them often, not at import."""
+
+    def test_import_builds_no_raster(self):
+        code = (
+            "import repro.world.room as room\n"
+            "built = []\n"
+            "init = room._ClearCells.__init__\n"
+            "def counting(self, *args):\n"
+            "    built.append(args[-1])\n"
+            "    init(self, *args)\n"
+            "room._ClearCells.__init__ = counting\n"
+            "import repro.sim\n"
+            "print(len(built))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ),
+            capture_output=True, check=True, text=True,
+        ).stdout
+        assert out.strip() == "0"
+
+    def test_a_batch_builds_at_once(self):
+        room = get_scenario("dense-depot").build_room()
+        assert room.is_free_many(np.array([1.0]), np.array([1.0]), CRAZYFLIE_RADIUS_M).all()
+        assert list(room._clear_cells) == [CRAZYFLIE_RADIUS_M]
+
+    @pytest.mark.parametrize("name", ["dense-depot", "cluttered-office"])
+    def test_flight_builds_one_raster_per_margin(self, name, monkeypatch):
+        built = collections.Counter()
+        init = _ClearCells.__init__
+
+        def counting(self, bounds, shapes, field, margin):
+            built[margin] += 1
+            init(self, bounds, shapes, field, margin)
+
+        monkeypatch.setattr(_ClearCells, "__init__", counting)
+        scenario = get_scenario(name)
+        spec = scenario.room
+        results = []
+        for accel in ("auto", "none"):
+            room = Room(spec.width, spec.length, [o.build() for o in spec.obstacles], accel=accel)
+            mission = ExplorationMission(
+                room,
+                make_policy("wall-following", PolicyConfig(cruise_speed=0.5)),
+                flight_time_s=10.0,
+                start=scenario.start_position(),
+                drone_config=scenario.drone_config(),
+            )
+            results.append(mission.run(seed=3))
+            assert set(built.values()) == {1}
+        assert list(built) == [CRAZYFLIE_RADIUS_M]
+        auto, reference = results
+        assert auto.series.coverage.tolist() == reference.series.coverage.tolist()
+        assert [s.position for s in auto.samples] == [s.position for s in reference.samples]
+        assert (auto.collisions, auto.distance_flown_m) == (
+            reference.collisions, reference.distance_flown_m,
+        )
