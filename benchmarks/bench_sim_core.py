@@ -1,7 +1,9 @@
 """Simulation-core and campaign benchmark: the gates that justify fast paths.
 
 Times the raycast kernels in isolation (brute force vs. uniform grid)
-across segment counts, the ``is_free``/``clearance`` point queries
+across segment counts, the fleet cast's two kernels (broadcast vs.
+per-ray walk, the sweep behind ``FLEET_BROADCAST_MAX_SEGMENTS``; bit
+identity asserted), the ``is_free``/``clearance`` point queries
 (grid vs. brute, bit-identity asserted), fleet-vectorized vs. serial
 stepping (record bit-identity asserted), a 16-mission campaign flown
 serially and on a worker pool (byte-identity asserted) and the same
@@ -29,9 +31,10 @@ import time
 
 import numpy as np
 
+from repro.drone.dynamics import CRAZYFLIE_RADIUS_M
 from repro.exec import ResultCache
 from repro.experiments.reporting import ascii_table, machine_info
-from repro.geometry.raycast import RayCaster
+from repro.geometry.raycast import FLEET_BROADCAST_MAX_SEGMENTS, RayCaster
 from repro.geometry.vec import Vec2
 from repro.obs import TraceStore
 from repro.sim import Campaign, generate_scenario, get_scenario, run_campaign
@@ -62,6 +65,30 @@ POOL_GATE_MIN_CORES = 4
 #: Hard ceiling on the wall-clock cost of ``record=True`` telemetry
 #: capture, relative to an identical unrecorded campaign.
 RECORD_OVERHEAD_LIMIT = 0.10
+
+#: Worlds of the fleet-cast kernel sweep, by segment count: presets and
+#: generated worlds on both sides of ``FLEET_BROADCAST_MAX_SEGMENTS``.
+FLEET_CAST_WORLDS = (
+    ("apartment", lambda: get_scenario("apartment")),
+    ("cluttered-office", lambda: get_scenario("cluttered-office")),
+    ("dense-depot", lambda: get_scenario("dense-depot")),
+    ("scatter-field 10", lambda: generate_scenario("scatter-field", {"n_items": 10}, seed=1)),
+    ("scatter-field 12", lambda: generate_scenario("scatter-field", {"n_items": 12}, seed=1)),
+    ("scatter-field 14", lambda: generate_scenario("scatter-field", {"n_items": 14}, seed=1)),
+    ("cluttered-warehouse", lambda: generate_scenario("cluttered-warehouse", seed=1)),
+    ("perfect-maze", lambda: generate_scenario("perfect-maze", seed=1)),
+    ("scatter-field 40", lambda: generate_scenario("scatter-field", seed=1)),
+    (
+        "scatter-field 160",
+        lambda: generate_scenario(
+            "scatter-field", {"n_items": 160, "width": 24.0, "length": 18.0}, seed=1
+        ),
+    ),
+)
+
+#: Rays per fleet cast in the sweep: the four Multi-ranger beams of 1, 12
+#: (a Fig. 5 sweep's block) and 64 drones.
+FLEET_CAST_RAYS = (4, 48, 256)
 
 
 def _time_calls(fn, repeats, inner):
@@ -105,6 +132,48 @@ def bench_raycast(repeats: int, inner: int = 400):
                 "grid_us": grid_us,
             }
         )
+    return rows
+
+
+def bench_fleet_cast(repeats: int) -> list:
+    """Fleet-cast latency by kernel: broadcast (``accel="none"``) vs. walk.
+
+    Each drone casts its four beams from its own free-space origin, as a
+    fleet tick does; the grid walk (``accel="grid"``) and the ``(R, S)``
+    broadcast must agree bit for bit once clamped to the ToF range.
+    """
+    rng = np.random.default_rng(5)
+    rows = []
+    for label, make in FLEET_CAST_WORLDS:
+        room = make().build_room()
+        segments = room.all_segments()
+        broadcast = RayCaster(segments, accel="none")
+        walk = RayCaster(segments, accel="grid")
+        row = {"world": label, "n_segments": len(segments)}
+        for r in FLEET_CAST_RAYS:
+            origins = []
+            while len(origins) < r // 4:
+                p = Vec2(rng.uniform(0.0, room.width), rng.uniform(0.0, room.length))
+                if room.is_free(p, CRAZYFLIE_RADIUS_M):
+                    origins.append(p)
+            ox = np.repeat([p.x for p in origins], 4)
+            oy = np.repeat([p.y for p in origins], 4)
+            heading = rng.uniform(-math.pi, math.pi, r)
+            dx, dy = np.cos(heading), np.sin(heading)
+            hits = [
+                np.minimum(c.cast_fleet(ox, oy, dx, dy, 4.0), 4.0).tobytes()
+                for c in (broadcast, walk)
+            ]
+            assert hits[0] == hits[1], (label, r)
+            inner = max(4, 2000 // r)
+            for name, caster in (("broadcast", broadcast), ("walk", walk)):
+                row[f"{name}_{r}_us"] = (
+                    _time_calls(
+                        lambda c=caster: c.cast_fleet(ox, oy, dx, dy, 4.0), repeats, inner
+                    )
+                    * 1e6
+                )
+        rows.append(row)
     return rows
 
 
@@ -346,6 +415,7 @@ def run_benchmarks(quick: bool, out_path: str):
     flight_time = 10.0 if quick else 30.0
     repeats = 2 if quick else 3
     raycast = bench_raycast(repeats)
+    fleet_cast = bench_fleet_cast(repeats)
     point_queries = bench_point_queries(repeats)
     fleet_throughput = bench_fleet_throughput(flight_time, repeats)
     campaign = build_campaign(flight_time)
@@ -361,6 +431,23 @@ def run_benchmarks(quick: bool, out_path: str):
                 for r in raycast
             ],
             title="4-beam cast latency by kernel",
+        )
+    )
+    print(
+        ascii_table(
+            ["world", "segs"] + [f"{r} rays [us]" for r in FLEET_CAST_RAYS],
+            [
+                [r["world"], str(r["n_segments"])]
+                + [
+                    f"{r[f'broadcast_{n}_us']:.0f} / {r[f'walk_{n}_us']:.0f}"
+                    for n in FLEET_CAST_RAYS
+                ]
+                for r in fleet_cast
+            ],
+            title=(
+                "fleet-cast latency, broadcast / walk (bit-identical asserted; "
+                f"auto broadcasts up to {FLEET_BROADCAST_MAX_SEGMENTS} segments)"
+            ),
         )
     )
     print(
@@ -420,6 +507,7 @@ def run_benchmarks(quick: bool, out_path: str):
         "quick": quick,
         "machine": {**machine_info(), "numpy": np.__version__},
         "raycast": raycast,
+        "fleet_cast": fleet_cast,
         "point_queries": point_queries,
         "fleet_throughput": fleet_throughput,
         "pool_throughput": pool,

@@ -144,30 +144,6 @@ class EvictionReport(NamedTuple):
     remaining_bytes: int  #: entry+trace bytes still on disk afterwards
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-
-
-def _is_plain(value: Any) -> bool:
-    """Whether ``value``'s canonical JSON is already its round trip's.
-
-    True for dicts with string keys, lists and tuples of such values,
-    and exact ``str``/``int``/``float``/``bool``/``None``; a tuple
-    encodes as the list it decodes to. Anything else, a subclass
-    included, may encode differently once normalized: an ``int`` key
-    sorts as a number before and as a string after.
-    """
-    kind = type(value)
-    if kind in _SCALARS:
-        return True
-    if kind is dict:
-        return all(type(key) is str for key in value) and all(
-            type(item) in _SCALARS or _is_plain(item) for item in value.values()
-        )
-    if kind is list or kind is tuple:
-        return all(type(item) in _SCALARS or _is_plain(item) for item in value)
-    return False
-
-
 @dataclass
 class ResultCache:
     """JSON-on-disk store of job results, keyed by content hash.
@@ -259,13 +235,11 @@ class ResultCache:
     def put(self, job: JobSpec, result: Any) -> str:
         """Store ``result`` for ``job``; returns the entry path.
 
-        The entry holds the canonical JSON of ``result`` normalized
-        through a JSON round trip, so what later runs load from disk is
-        byte-identical to what this run returned. Plain JSON data --
-        every result the executor stores, normalized once on its way
-        back -- already has that canonical JSON and skips the round
-        trip; anything else (a dict with an int key, a numpy scalar)
-        takes it. Concurrent writers of the same job are safe: each
+        The entry holds the canonical JSON of ``result`` normalized by
+        :func:`~repro.exec.jobspec.json_roundtrip`, so what later runs
+        load from disk is byte-identical to what this run returned; for
+        plain data that is a structural copy, so a result is encoded
+        once, for the write. Concurrent writers of the same job are safe: each
         writes its own temp file and the final ``os.replace`` is atomic
         (and, for a deterministic job, every writer replaces with
         identical bytes).
@@ -273,7 +247,7 @@ class ResultCache:
         entry = {
             "schema": CACHE_SCHEMA,
             "job": job.to_dict(),
-            "result": result if _is_plain(result) else json_roundtrip(result),
+            "result": json_roundtrip(result),
         }
         blob = faults.mangle_cache_write(job.content_hash(), canonical_json(entry))
         path = self.entry_path(job.content_hash())

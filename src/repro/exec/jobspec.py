@@ -84,15 +84,82 @@ def canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+#: The one object ``json.loads`` returns for every ``NaN``; a normalized
+#: NaN is this object too, so list and dict equality (which test
+#: identity first) treat it as a decoded one.
+_NAN = json.loads("NaN")
+
+#: Ints of at most this many bits have fewer decimal digits than the
+#: smallest limit ``sys.set_int_max_str_digits`` accepts (640), so
+#: ``json.dumps`` never refuses them.
+_MAX_INT_BITS = 2000
+
+_FLOATS = frozenset((float,))
+
+
+class _NotPlain(Exception):
+    """A value whose JSON text round trip the structural copy cannot vouch for."""
+
+
+def _plain_copy(value: Any) -> Any:
+    """Structural copy equal to ``json.loads(json.dumps(value))``.
+
+    Raises :class:`_NotPlain` on anything but exact ``dict`` (ASCII
+    ``str`` keys), ``list``, ``tuple``, ASCII ``str``, ``int`` (not
+    huge), ``float``, ``bool`` and ``None``: the text round trip may
+    change such a value (a non-``str`` key, a subclass, a numpy scalar,
+    a surrogate pair) or refuse it.
+    """
+    kind = type(value)
+    if kind is float:
+        return value if value == value else _NAN
+    if kind is list or kind is tuple:
+        # A run of non-NaN floats -- a coverage series -- is copied in C.
+        if set(map(type, value)) <= _FLOATS:
+            total = sum(value)
+            if total == total:
+                return list(value)
+        return [_plain_copy(item) for item in value]
+    if kind is dict:
+        out: Dict[str, Any] = {}
+        for key, item in value.items():
+            if type(key) is not str or not key.isascii():
+                raise _NotPlain
+            out[key] = _plain_copy(item)
+        return out
+    if kind is str:
+        if value.isascii():
+            return value
+        raise _NotPlain
+    if kind is int:
+        if value.bit_length() <= _MAX_INT_BITS:
+            return value
+        raise _NotPlain
+    if kind is bool or value is None:
+        return value
+    raise _NotPlain
+
+
 def json_roundtrip(value: Any) -> Any:
-    """Normalize ``value`` through a JSON encode/decode cycle.
+    """Normalize ``value`` to what a JSON encode/decode cycle returns.
 
     Every execution path (serial, pooled, cache hit) returns results
     through this normalization, which is what makes the three paths
     byte-identical downstream: a freshly-computed tuple and a
     cache-loaded list collapse to the same plain data, while floats
     survive exactly (``json`` round-trips the shortest ``repr``).
+
+    Plain data is copied structurally, tuples becoming lists, which
+    is an order of magnitude cheaper than the text for a mission
+    record. Anything else -- a non-``str`` key, a subclass, a numpy
+    scalar, nesting deep enough for a ``RecursionError`` -- takes the
+    text round trip itself, so the result (or the exception) is always
+    the text round trip's.
     """
+    try:
+        return _plain_copy(value)
+    except (_NotPlain, RecursionError):
+        pass
     return json.loads(json.dumps(value))  # repro: noqa[RPR104] ordering is discarded by the immediate loads; not a persisted form
 
 

@@ -23,6 +23,10 @@ merely skips segments that cannot contain it. ``accel="auto"`` (the
 default) picks the grid above :data:`GRID_SEGMENT_THRESHOLD` segments and
 the broadcast kernel below it; ``accel="none"`` forces the brute-force
 reference path, which the equivalence tests and benchmarks pin against.
+A multi-origin fleet cast (:meth:`RayCaster.cast_fleet`) has more rays to
+amortize a broadcast over, so under ``"auto"`` it keeps the broadcast
+kernel up to :data:`FLEET_BROADCAST_MAX_SEGMENTS` segments and walks the
+grid only above; ``accel="grid"`` walks at every size.
 """
 
 from __future__ import annotations
@@ -47,6 +51,15 @@ _U_SLACK = 1e-9
 #: cells, so it overtakes the dense kernels early (measured crossover on
 #: room geometry is ~10-16 segments); below it the scalar loop is cheaper.
 GRID_SEGMENT_THRESHOLD = 16
+
+#: Segment count up to which ``accel="auto"`` resolves
+#: :meth:`RayCaster.cast_fleet` with the ``(R, S)`` broadcast kernel even
+#: when a grid exists; above it the fleet cast walks the grid per ray.
+#: From the sweep in ``benchmarks/bench_sim_core.py``: at 48 rays (a
+#: 12-lane block) and at 256 the broadcast wins on every world up to 144
+#: segments, and it is about even at 180; at 4 rays (one lane) the walk
+#: is faster, by some 5-25 us below 500 segments.
+FLEET_BROADCAST_MAX_SEGMENTS = 128
 
 #: Conservative inflation (metres) applied when bucketing segments into
 #: grid cells, covering the ``u`` tolerance and boundary rounding.
@@ -246,8 +259,9 @@ class RayCaster:
     Args:
         segments: the static geometry to cast against.
         accel: ``"auto"`` (grid above :data:`GRID_SEGMENT_THRESHOLD`
-            segments), ``"grid"`` (always), or ``"none"`` (brute-force
-            broadcast reference path).
+            segments; :meth:`cast_fleet` walks it only above
+            :data:`FLEET_BROADCAST_MAX_SEGMENTS`), ``"grid"`` (always),
+            or ``"none"`` (brute-force broadcast reference path).
     """
 
     def __init__(self, segments: Iterable[Segment], accel: str = "auto"):
@@ -267,6 +281,10 @@ class RayCaster:
         if accel == "grid" or (accel == "auto" and n >= GRID_SEGMENT_THRESHOLD):
             self._grid = _UniformGrid(self._ax, self._ay, self._ex, self._ey)
         self.accel = "grid" if self._grid is not None else "none"
+        # The grid cast_fleet walks; None sends it to the broadcast kernel.
+        self._fleet_grid = (
+            self._grid if accel == "grid" or n > FLEET_BROADCAST_MAX_SEGMENTS else None
+        )
         # Python-list mirrors for the small-problem scalar path (list
         # indexing is ~3x cheaper than numpy scalar access).
         self._lax = self._ax.tolist()
@@ -280,7 +298,7 @@ class RayCaster:
         self._tn1 = np.empty(n, dtype=np.float64)
         self._tn2 = np.empty(n, dtype=np.float64)
         self._cap_r = 0
-        self._w_a = self._w_b = self._w_c = None
+        self._w_a = self._w_b = self._w_c = self._w_d = self._w_e = None
         self._m_a = self._m_b = None
 
     @property
@@ -289,13 +307,15 @@ class RayCaster:
         return self._segments
 
     def _ensure_scratch(self, r: int) -> None:
-        if r <= self._cap_r:
+        if r <= self._cap_r and self._w_a is not None:
             return
         cap = max(8, 2 * self._cap_r, r)
         shape = (cap, self._n)
         self._w_a = np.empty(shape, dtype=np.float64)
         self._w_b = np.empty(shape, dtype=np.float64)
         self._w_c = np.empty(shape, dtype=np.float64)
+        self._w_d = np.empty(shape, dtype=np.float64)
+        self._w_e = np.empty(shape, dtype=np.float64)
         self._m_a = np.empty(shape, dtype=bool)
         self._m_b = np.empty(shape, dtype=bool)
         self._cap_r = cap
@@ -457,15 +477,18 @@ class RayCaster:
         bit-for-bit -- the broadcast path evaluates exactly the IEEE
         expressions of :meth:`_hits_scalar` / :meth:`_hits_brute` per
         (ray, segment) pair and collapses them with the same minimum,
-        and the grid path walks the identical DDA per ray. Misses (and,
-        on the grid path, hits beyond ``max_range``) read ``inf``;
-        callers clamp, exactly as with :meth:`hit_distances`.
+        and the grid path walks the identical DDA per ray. The grid is
+        walked under ``accel="grid"`` and, under ``"auto"``, above
+        :data:`FLEET_BROADCAST_MAX_SEGMENTS` segments; every other
+        caster broadcasts. Misses (and, on the grid path, hits beyond
+        ``max_range``) read ``inf``; callers clamp, exactly as with
+        :meth:`hit_distances`.
         """
         ox = np.ascontiguousarray(oxs, dtype=np.float64)
         oy = np.ascontiguousarray(oys, dtype=np.float64)
         dx = np.ascontiguousarray(dirx, dtype=np.float64)
         dy = np.ascontiguousarray(diry, dtype=np.float64)
-        grid = self._grid
+        grid = self._fleet_grid
         if grid is not None:
             cast = grid.cast
             lox = ox.tolist()
@@ -479,27 +502,35 @@ class RayCaster:
                 ],
                 dtype=np.float64,
             )
-        # Broadcast kernel over (R, S) with per-ray origins. Same
-        # operator sequence as the single-origin kernels: sox = ax - ox,
-        # denom = dx*ey - dy*ex, t = (sox*ey - soy*ex)/denom,
-        # u = (sox*dy - soy*dx)/denom.
-        sox = self._ax[None, :] - ox[:, None]
-        soy = self._ay[None, :] - oy[:, None]
+        # Broadcast kernel over (R, S) with per-ray origins, in scratch
+        # buffers. Same operator sequence as the single-origin kernels:
+        # sox = ax - ox, denom = dx*ey - dy*ex,
+        # t = (sox*ey - soy*ex)/denom, u = (sox*dy - soy*dx)/denom.
+        r = dx.shape[0]
+        self._ensure_scratch(r)
+        ey = self._ey
+        ex = self._ex
         cx = dx[:, None]
         cy = dy[:, None]
-        denom = cx * self._ey[None, :] - cy * self._ex[None, :]
-        ok = np.abs(denom) > _EPS
-        tnum = sox * self._ey[None, :] - soy * self._ex[None, :]
-        unum = sox * cy - soy * cx
-        t = np.full(denom.shape, np.inf)
-        u = np.empty(denom.shape)
+        sox = np.subtract(self._ax, ox[:, None], out=self._w_a[:r])
+        soy = np.subtract(self._ay, oy[:, None], out=self._w_b[:r])
+        denom = np.multiply(cx, ey, out=self._w_c[:r])
+        tmp = np.multiply(cy, ex, out=self._w_d[:r])
+        denom -= tmp
+        t = np.multiply(sox, ey, out=self._w_e[:r])
+        t -= np.multiply(soy, ex, out=tmp)
+        u = np.multiply(sox, cy, out=sox)
+        u -= np.multiply(soy, cx, out=soy)
+        ok = np.greater(np.abs(denom, out=tmp), _EPS, out=self._m_a[:r])
+        # Entries where denom ~ 0 divide into garbage; ``ok`` drops them.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.divide(tnum, denom, out=t, where=ok)
-            np.divide(unum, denom, out=u, where=ok)
-        ok &= t >= 0.0
-        ok &= u >= -_U_SLACK
-        ok &= u <= 1.0 + _U_SLACK
-        np.copyto(t, np.inf, where=~ok)
+            t /= denom
+            u /= denom
+        bad = self._m_b[:r]
+        ok &= np.greater_equal(t, 0.0, out=bad)
+        ok &= np.greater_equal(u, -_U_SLACK, out=bad)
+        ok &= np.less_equal(u, 1.0 + _U_SLACK, out=bad)
+        np.copyto(t, np.inf, where=np.logical_not(ok, out=bad))
         return t.min(axis=1)
 
     def line_of_sight(self, a: Vec2, b: Vec2, slack: float = 1e-6) -> bool:

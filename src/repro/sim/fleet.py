@@ -1,21 +1,29 @@
 """Fleet-vectorized mission stepping: N same-world missions per tick.
 
-PR 2 vectorized *within* a control tick (one drone's Multi-ranger beams
-per kernel call); this module vectorizes *across missions*. A fleet
-block holds the state of N missions that share one world and one drone
-configuration as structure-of-arrays ``(N,)`` numpy arrays -- positions,
-velocities, estimator state, setpoints -- and advances all of them in
-lock-step: one multi-origin raycast
+The serial loop batches *within* a control tick (one drone's
+Multi-ranger beams per kernel call); this module vectorizes *across
+missions*. A fleet block holds the state of N missions that share one
+world and one drone configuration as structure-of-arrays numpy arrays
+with one column per lane, and rows stacked where one numpy call serves
+them all: positions ``(2, N)``, body velocities and yaw rate with their
+setpoints ``(3, N)``, and the true and estimated headings ``(2, N)``,
+which one wrap, one ``cos`` and one ``sin`` advance together (the gyro
+reading does not depend on the collision step). It advances all lanes
+in lock-step: one multi-origin raycast
 (:meth:`~repro.geometry.raycast.RayCaster.cast_fleet`) resolves every
 drone's beams per refresh, and the dynamics, sensor-noise and estimator
-updates are single vectorized expressions per tick. Only the genuinely
-per-mission, branchy pieces stay scalar: the policy state machines, the
-sparse camera-frame/detection events, and collision resolution on the
-rare blocked tick. Each tick also writes the block's positions into an
-``(N, ticks + 1)`` history; a mission's coverage, occupancy and path
-length come from its row of that history when it finishes, through the
-same :meth:`~repro.mapping.occupancy.OccupancyGrid.record_many` the
-serial tracker folds its trace with.
+updates are single vectorized expressions per tick. The noise blocks
+are scaled by their std once, at block setup, and the dropout block is
+a bool mask; while every lane is active a tick reads whole arrays, and
+only after the first lane retires does it gather the survivors. Only
+the genuinely per-mission, branchy pieces stay scalar: the policy state
+machines, the sparse camera-frame/detection events, and collision
+resolution on the rare blocked tick. Each tick also writes the block's
+positions into a ``(ticks + 1, 2, N)`` history; a mission's coverage,
+occupancy and path length come from its column of that history when it
+finishes, through the same
+:meth:`~repro.mapping.occupancy.OccupancyGrid.record_many` the serial
+tracker folds its trace with.
 
 The contract is **bit-identity**: a fleet-stepped mission produces
 exactly the :class:`~repro.sim.results.MissionRecord` the serial
@@ -39,7 +47,10 @@ properties make that possible:
   equal their ``math`` counterparts elementwise; ``np.exp`` and
   ``np.hypot`` do not, which is why the response constants and the
   path length, ``math.hypot`` per step added in tick order, stay
-  scalar).
+  scalar). Stacking rows, pre-scaling the noise and updating in place
+  keep each element's operations and their order; only the operands of
+  a single multiply or add swap sides (``z * std`` for ``std * z``),
+  which IEEE arithmetic rounds identically.
 
 Missions that finish early (shorter ``flight_time_s``) are masked out:
 their lanes get hover setpoints and stop contributing policy or
@@ -77,15 +88,17 @@ from repro.sim.results import MissionRecord
 
 
 def _normalize_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`~repro.geometry.vec.normalize_angle`.
+    """Vectorized :func:`~repro.geometry.vec.normalize_angle`, in place.
 
     Same expression lane-for-lane (``np.fmod`` equals ``math.fmod``
     elementwise), so each entry is bit-identical to the scalar wrap.
+    Overwrites and returns ``angles``.
     """
-    wrapped = np.fmod(angles + math.pi, TWO_PI)
-    wrapped[wrapped <= 0.0] += TWO_PI
-    wrapped -= math.pi
-    return wrapped
+    angles += math.pi
+    np.fmod(angles, TWO_PI, out=angles)
+    np.add(angles, TWO_PI, out=angles, where=angles <= 0.0)
+    angles -= math.pi
+    return angles
 
 
 def fleet_key(spec: MissionSpec) -> tuple:
@@ -190,10 +203,13 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
     camera = HimaxCamera()
     scale = np.ones(n, dtype=np.float64)
     bias = np.zeros(n, dtype=np.float64)
-    flow_z = np.empty((n, n_max, 3), dtype=np.float64) if noisy else None
-    gyro_z = np.empty((n, n_max), dtype=np.float64) if noisy else None
-    drop_u = np.empty((n, r_total, 4), dtype=np.float64) if noisy else None
-    tof_z = np.empty((n, r_total, 4), dtype=np.float64) if noisy else None
+    # Noise blocks, laid out so a tick (refresh) reads one contiguous
+    # slice: flow (vx, vy) and gyro noise by tick, dropouts and range
+    # noise by refresh. The flow deck's height noise is drawn, not used.
+    flow_z = np.empty((n_max, 2, n), dtype=np.float64) if noisy else None
+    gyro_z = np.empty((n_max, n), dtype=np.float64) if noisy else None
+    dropped = np.empty((r_total, n, 4), dtype=bool) if noisy else None
+    tof_z = np.empty((r_total, n, 4), dtype=np.float64) if noisy else None
     for j, spec in enumerate(specs):
         seed = spec.seed_sequence()
         if kind == "explore":
@@ -211,7 +227,7 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
         updates.append(policy.update)
         if noisy:
             assert flow_z is not None and gyro_z is not None
-            assert drop_u is not None and tof_z is not None
+            assert dropped is not None and tof_z is not None
             # Same spawn order as Crazyflie.__init__, and the same init
             # draws: constructing the deck objects on the live generator
             # consumes the calibration draws (flow scale, gyro bias)
@@ -225,50 +241,55 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             scale[j] = FlowDeck(
                 velocity_noise_std=config.odometry_noise_std, rng=flow_gen
             ).scale
-            flow_z[j] = draw_rows(flow_gen, FLOW, n_max)
+            flow_z[:, :, j] = draw_rows(flow_gen, FLOW, n_max)[:, :2]
             gyro_gen = np.random.default_rng(gyro_stream)
             bias[j] = Gyro(noise_std=config.gyro_noise_std, rng=gyro_gen).bias
-            gyro_z[j] = draw_rows(gyro_gen, GYRO, n_max)[:, 0]
-            drop_u[j] = draw_rows(np.random.default_rng(drop_stream), DROPOUT, r_total)
-            tof_z[j] = draw_rows(np.random.default_rng(noise_stream), RANGE, r_total)
+            gyro_z[:, j] = draw_rows(gyro_gen, GYRO, n_max)[:, 0]
+            # A beam drops out where its uniform draw is below the
+            # dropout probability: the serial comparison, made in advance.
+            dropped[:, j] = (
+                draw_rows(np.random.default_rng(drop_stream), DROPOUT, r_total)
+                < config.tof_dropout_prob
+            )
+            tof_z[:, j] = draw_rows(np.random.default_rng(noise_stream), RANGE, r_total)
+
+    if noisy:
+        assert flow_z is not None and gyro_z is not None and tof_z is not None
+        # Scaled in place by their std, once: z * std is the std * z a
+        # tick would compute.
+        flow_z *= config.odometry_noise_std
+        gyro_z *= config.gyro_noise_std
+        tof_z *= config.tof_noise_std
 
     # -- shared constants ---------------------------------------------------
     mounts = np.array(
         [normalize_angle(a) for a in BEAM_ANGLES.values()], dtype=np.float64
     )
     max_range = VL53L1X_MAX_RANGE_M
-    tof_noise_std = config.tof_noise_std
-    tof_dropout = config.tof_dropout_prob
-    vel_noise_std = config.odometry_noise_std
-    gyro_noise_std = config.gyro_noise_std
     controller = VelocityController()
     vmax = controller.max_speed
     wmax = controller.max_yaw_rate
     alpha_v = 1.0 - math.exp(-dt / config.velocity_tau)
     alpha_w = 1.0 - math.exp(-dt / config.yaw_tau)
+    alpha = np.array([[alpha_v], [alpha_v], [alpha_w]], dtype=np.float64)
     margin = CRAZYFLIE_RADIUS_M
 
     # -- structure-of-arrays state ------------------------------------------
-    x = np.full(n, start.x, dtype=np.float64)
-    y = np.full(n, start.y, dtype=np.float64)
-    h = np.full(n, heading0, dtype=np.float64)
-    vx = np.zeros(n, dtype=np.float64)
-    vy = np.zeros(n, dtype=np.float64)
-    wz = np.zeros(n, dtype=np.float64)
-    est_x = np.full(n, start.x, dtype=np.float64)
-    est_y = np.full(n, start.y, dtype=np.float64)
-    est_h = np.full(n, heading0, dtype=np.float64)
-    est_vx = np.zeros(n, dtype=np.float64)
-    est_vy = np.zeros(n, dtype=np.float64)
-    est_wz = np.zeros(n, dtype=np.float64)
-    sp_f = np.zeros(n, dtype=np.float64)
-    sp_s = np.zeros(n, dtype=np.float64)
-    sp_w = np.zeros(n, dtype=np.float64)
-    # Column k holds every lane's position after k ticks.
-    hist_x = np.empty((n, n_max + 1), dtype=np.float64)
-    hist_y = np.empty((n, n_max + 1), dtype=np.float64)
-    hist_x[:, 0] = x
-    hist_y[:, 0] = y
+    # Stacked rows share one numpy call: positions (x, y), body
+    # velocities and yaw rate (vx, vy, wz) with their setpoints, and
+    # headings (true, estimated) with their rates (wz, gyro reading).
+    pos = np.empty((2, n), dtype=np.float64)
+    pos[0] = start.x
+    pos[1] = start.y
+    vel = np.zeros((3, n), dtype=np.float64)
+    sp = np.zeros((3, n), dtype=np.float64)
+    hd = np.full((2, n), heading0, dtype=np.float64)
+    rates = np.zeros((2, n), dtype=np.float64)
+    est_pos = pos.copy()
+    est_vel = np.zeros((2, n), dtype=np.float64)
+    # Row k holds every lane's position after k ticks.
+    hist = np.empty((n_max + 1, 2, n), dtype=np.float64)
+    hist[0] = pos
     collisions = [0] * n
     frames = [0] * n
     first_det: List[Dict[str, DetectionEvent]] = [dict() for _ in range(n)]
@@ -282,11 +303,11 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
     r = 0  # refresh row index, shared by every lane
 
     def _snapshot(i: int) -> MissionRecord:
-        """Mission ``i``'s record, from its row of the position history."""
+        """Mission ``i``'s record, from its column of the position history."""
         spec = specs[i]
         n_i = n_steps[i]
-        xs = hist_x[i, : n_i + 1]
-        ys = hist_y[i, : n_i + 1]
+        xs = hist[: n_i + 1, 0, i]
+        ys = hist[: n_i + 1, 1, i]
         distance = 0.0
         for step_x, step_y in zip(np.diff(xs).tolist(), np.diff(ys).tolist()):
             distance += math.hypot(step_x, step_y)
@@ -312,26 +333,27 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
         return MissionRecord.from_flight(spec, result)
 
     for k in range(n_max):
+        every = len(active) == n  # gathers by ``act`` only once lanes retire
         # -- Multi-ranger refresh (shared 20 Hz schedule) -------------------
         if refresh[k]:
-            beams = _normalize_angles(h[act][:, None] + mounts[None, :])
-            dirx = np.cos(beams)
-            diry = np.sin(beams)
+            h_a = hd[0] if every else hd[0, act]
+            beams = _normalize_angles(h_a[:, None] + mounts[None, :])
+            origins = np.repeat(pos if every else pos[:, act], 4, axis=1)
             hits = caster.cast_fleet(
-                np.repeat(x[act], 4),
-                np.repeat(y[act], 4),
-                dirx.ravel(),
-                diry.ravel(),
+                origins[0],
+                origins[1],
+                np.cos(beams).ravel(),
+                np.sin(beams).ravel(),
                 max_range,
             ).reshape(len(active), 4)
             true_d = np.minimum(hits, max_range)
             if noisy:
-                assert drop_u is not None and tof_z is not None
+                assert dropped is not None and tof_z is not None
                 vals = np.where(
-                    drop_u[act, r, :] < tof_dropout,
+                    dropped[r] if every else dropped[r, act],
                     max_range,
                     np.clip(
-                        true_d + tof_noise_std * tof_z[act, r, :],
+                        true_d + (tof_z[r] if every else tof_z[r, act]),
                         0.0,
                         max_range,
                     ),
@@ -344,8 +366,8 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
 
         # -- policy evaluation (scalar state machines) ----------------------
         est_t = times_pre[k]
-        ex, ey, eh = est_x.tolist(), est_y.tolist(), est_h.tolist()
-        evx, evy, ewz = est_vx.tolist(), est_vy.tolist(), est_wz.tolist()
+        (ex, ey), eh = est_pos.tolist(), hd[1].tolist()
+        (evx, evy), ewz = est_vel.tolist(), rates[1].tolist()
         fs: List[float] = []
         ss: List[float] = []
         ws: List[float] = []
@@ -368,37 +390,56 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             fs.append(f_)
             ss.append(s_)
             ws.append(w_)
-        sp_f[act] = fs
-        sp_s[act] = ss
-        sp_w[act] = ws
+        if every:
+            sp[...] = (fs, ss, ws)
+        else:
+            sp[:, act] = (fs, ss, ws)
 
-        # -- dynamics (vectorized; scalar only on blocked lanes) ------------
-        vx_n = vx + alpha_v * (sp_f - vx)
-        vy_n = vy + alpha_v * (sp_s - vy)
-        wz_n = wz + alpha_w * (sp_w - wz)
-        h_n = _normalize_angles(h + wz_n * dt)
-        ch = np.cos(h_n)
-        sh = np.sin(h_n)
-        dx_a = (ch * vx_n - sh * vy_n) * dt
-        dy_a = (sh * vx_n + ch * vy_n) * dt
-        tx = x + dx_a
-        ty = y + dy_a
-        free = room.is_free_many(tx, ty, margin)
-        x_n = np.where(free, tx, x)
-        y_n = np.where(free, ty, y)
-        if not free.all():
+        # -- dynamics and gyro (vectorized) ---------------------------------
+        # vel + alpha * (sp - vel), in place.
+        vel_n = sp - vel
+        vel_n *= alpha
+        vel_n += vel
+        wz_n = vel_n[2]
+        # The gyro reads the new yaw rate, which no collision changes,
+        # so both headings advance in one wrap, cos and sin.
+        rates = np.empty((2, n), dtype=np.float64)
+        rates[0] = wz_n
+        gyro = rates[1]
+        if noisy:
+            assert gyro_z is not None
+            np.add(wz_n, bias, out=gyro)
+            gyro += gyro_z[k]
+        else:
+            gyro[:] = wz_n
+        hd_n = rates * dt
+        hd_n += hd
+        _normalize_angles(hd_n)
+        (ch, ech), (sh, esh) = np.cos(hd_n), np.sin(hd_n)
+        # World-frame step: ((ch*vx - sh*vy)*dt, (sh*vx + ch*vy)*dt).
+        c_v = ch * vel_n[:2]
+        s_v = sh * vel_n[:2]
+        step = np.empty((2, n), dtype=np.float64)
+        np.subtract(c_v[0], s_v[1], out=step[0])
+        np.add(s_v[0], c_v[1], out=step[1])
+        step *= dt
+        target = pos + step
+        free = room.is_free_many(target[0], target[1], margin)
+        pos_n = np.where(free, target, pos)
+        # -- collisions (scalar, on the rare blocked lane) ------------------
+        if np.count_nonzero(free) < n:
             for i in np.flatnonzero(~free).tolist():
                 if n_steps[i] <= k:
                     # Masked-out lane drifting after its mission ended:
                     # park it; its record is already snapshotted.
-                    vx_n[i] = 0.0
-                    vy_n[i] = 0.0
+                    vel_n[0, i] = 0.0
+                    vel_n[1, i] = 0.0
                     continue
-                sx = float(x[i])
-                sy = float(y[i])
-                new_pos = Vec2(sx + float(dx_a[i]), sy)
+                sx = float(pos[0, i])
+                sy = float(pos[1, i])
+                new_pos = Vec2(sx + float(step[0, i]), sy)
                 if not room.is_free(new_pos, margin):
-                    new_pos = Vec2(sx, sy + float(dy_a[i]))
+                    new_pos = Vec2(sx, sy + float(step[1, i]))
                     if not room.is_free(new_pos, margin):
                         new_pos = Vec2(sx, sy)
                 collisions[i] += 1
@@ -406,31 +447,27 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
                 actual_y = (new_pos.y - sy) / dt
                 c_ = float(ch[i])
                 s_c = float(sh[i])
-                vx_n[i] = c_ * actual_x + s_c * actual_y
-                vy_n[i] = -s_c * actual_x + c_ * actual_y
-                x_n[i] = new_pos.x
-                y_n[i] = new_pos.y
-        hist_x[:, k + 1] = x_n
-        hist_y[:, k + 1] = y_n
+                vel_n[0, i] = c_ * actual_x + s_c * actual_y
+                vel_n[1, i] = -s_c * actual_x + c_ * actual_y
+                pos_n[0, i] = new_pos.x
+                pos_n[1, i] = new_pos.y
+        hist[k + 1] = pos_n
 
-        # -- estimator (vectorized flow/gyro fusion) ------------------------
+        # -- estimator (vectorized flow fusion, after collisions) -----------
         if noisy:
-            assert flow_z is not None and gyro_z is not None
-            meas_vx = scale * vx_n + vel_noise_std * flow_z[:, k, 0]
-            meas_vy = scale * vy_n + vel_noise_std * flow_z[:, k, 1]
-            gyro_meas = wz_n + bias + gyro_noise_std * gyro_z[:, k]
+            assert flow_z is not None
+            meas = scale * vel_n[:2]
+            meas += flow_z[k]
         else:
-            meas_vx = vx_n
-            meas_vy = vy_n
-            gyro_meas = wz_n
-        est_h = _normalize_angles(est_h + gyro_meas * dt)
-        ech = np.cos(est_h)
-        esh = np.sin(est_h)
-        est_x = est_x + (ech * meas_vx - esh * meas_vy) * dt
-        est_y = est_y + (esh * meas_vx + ech * meas_vy) * dt
-        est_vx = meas_vx
-        est_vy = meas_vy
-        est_wz = gyro_meas
+            meas = vel_n[:2]
+        c_m = ech * meas
+        s_m = esh * meas
+        est_step = np.empty((2, n), dtype=np.float64)
+        np.subtract(c_m[0], s_m[1], out=est_step[0])
+        np.add(s_m[0], c_m[1], out=est_step[1])
+        est_step *= dt
+        est_pos += est_step
+        est_vel = meas
 
         # -- sparse camera frames -------------------------------------------
         if kind == "search":
@@ -438,12 +475,17 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
             for i in active:
                 if t_post + 1e-9 >= frames[i] * frame_periods[i]:
                     frames[i] += 1
-                    pos = Vec2(float(x_n[i]), float(y_n[i]))
-                    heading = float(h_n[i])
+                    pos_i = Vec2(float(pos_n[0, i]), float(pos_n[1, i]))
+                    heading = float(hd_n[0, i])
                     state = DroneState(
-                        pos, heading, float(vx_n[i]), float(vy_n[i]), float(wz_n[i]), t_post
+                        pos_i,
+                        heading,
+                        float(vel_n[0, i]),
+                        float(vel_n[1, i]),
+                        float(vel_n[2, i]),
+                        t_post,
                     )
-                    observations = camera.observe(caster, pos, heading, objects)
+                    observations = camera.observe(caster, pos_i, heading, objects)
                     for obs in channels[i].detect(observations, state, det_rngs[i]):
                         name = obs.obj.name
                         if name not in first_det[i]:
@@ -454,17 +496,14 @@ def fly_fleet(specs: Sequence[MissionSpec]) -> List[MissionRecord]:
                                 distance_m=obs.distance_m,
                             )
 
-        x, y, h = x_n, y_n, h_n
-        vx, vy, wz = vx_n, vy_n, wz_n
+        pos, vel, hd = pos_n, vel_n, hd_n
 
         # -- early-finish masking -------------------------------------------
         done_now = finishing.get(k)
         if done_now:
             for i in done_now:
                 records[i] = _snapshot(i)
-                sp_f[i] = 0.0
-                sp_s[i] = 0.0
-                sp_w[i] = 0.0
+                sp[:, i] = 0.0
             active = [i for i in active if n_steps[i] > k + 1]
             if not active:
                 break

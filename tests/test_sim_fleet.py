@@ -92,10 +92,27 @@ def test_fleet_matches_serial_search_mixed_widths():
     _assert_fleet_matches_serial(specs)
 
 
-def test_fleet_early_finish_masking():
-    """Shorter missions retire mid-block without disturbing the rest."""
-    scenario = get_scenario("paper-room")
-    specs = _specs(scenario, "explore", 4, flight_times=[4.0, 12.0, 2.0, 8.0])
+#: Worlds for the early-finish test: the obstacle-free paper room, a
+#: preset that casts with the broadcast kernel and a generated world
+#: above FLEET_BROADCAST_MAX_SEGMENTS, which walks the grid.
+_EARLY_FINISH_WORLDS = {
+    "paper-room": lambda: get_scenario("paper-room"),
+    "dense-depot": lambda: get_scenario("dense-depot"),
+    "scatter-field": lambda: get_family("scatter-field").generate(seed=3),
+}
+
+
+@pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noise-free"])
+@pytest.mark.parametrize("kind", ["explore", "search"])
+@pytest.mark.parametrize("world", list(_EARLY_FINISH_WORLDS))
+def test_fleet_early_finish_masking(world, kind, noisy):
+    """Shorter missions retire mid-block without disturbing the rest.
+
+    Once the first lane retires, every tick reads the surviving lanes
+    through index gathers instead of whole arrays.
+    """
+    scenario = dataclasses.replace(_EARLY_FINISH_WORLDS[world](), noisy=noisy)
+    specs = _specs(scenario, kind, 4, flight_times=[4.0, 12.0, 2.0, 8.0])
     _assert_fleet_matches_serial(specs)
 
 
